@@ -13,6 +13,15 @@ deleting all of them changes the homotopy type), so re-verification is what
 keeps every single removal elementary.  Ties among mutually dominated vertices
 therefore resolve by ascending id.
 
+Only phase 1 scans every alive vertex.  Each later phase re-checks only the
+vertices touched by the previous phase, i.e. the neighbors of its removals
+(taken just before each removal).  By the locality fact below, a vertex
+outside that set kept its status through the phase; a snapshot member that
+failed re-verification lost its status to a removed neighbor, so it is
+touched.  The re-checked set is therefore exactly the dominated set at the
+start of the next phase, and `prune_phase` keeps the full scan as the
+reference.
+
 Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
 deletion (the Y_i statistic).
@@ -26,6 +35,7 @@ incrementally during epoch 2; tests cross-check against full rescans.
 
 from __future__ import annotations
 
+import itertools
 import json
 from bisect import insort, bisect_left
 from dataclasses import dataclass, asdict
@@ -94,6 +104,8 @@ def _is_dominated(g: AdjacencyGraph, v: int) -> bool:
     """Containment test against every neighbor; isolated vertices never qualify."""
     nv = g.neighbor_view(v)
     target = len(nv) - 1
+    if target == 0:
+        return True  # a leaf: N[v] = {v, w} lies in N[w]
     # N[v] within N[w] for a neighbor w iff |N(v) & N(w)| == deg(v) - 1: the
     # intersection misses exactly w itself (open neighborhoods omit the owner).
     # Direct _adj reads: hot path, every w in nv is alive by invariant.
@@ -120,48 +132,80 @@ def dominated_set(g: AdjacencyGraph) -> list[int]:
 # -- epoch 1: pruning phases -------------------------------------------------
 
 
-def prune_phase(
+def _prune(
     g: AdjacencyGraph,
-    phase_index: int = 1,
-    order_rng: np.random.Generator | None = None,
-) -> PhaseReport:
-    """Snapshot the dominated set, then remove its members that re-verify.
+    snapshot: list[int],
+    phase_index: int,
+    order_rng: np.random.Generator | None,
+) -> tuple[PhaseReport, set[int]]:
+    """Remove the snapshot members that re-verify; also return their neighbors.
 
-    Processing order is ascending id; `order_rng` substitutes a random
-    permutation (used by the core-uniqueness checks, not by the experiments).
+    The second value is the union of each removed vertex's neighborhood, taken
+    just before its removal: the only vertices whose status the phase changed.
     """
-    snapshot = dominated_set(g)
     if order_rng is not None:
         snapshot = [snapshot[i] for i in order_rng.permutation(len(snapshot))]
     f0_before = g.non_isolated_count()
     removed: list[int] = []
+    touched: set[int] = set()
+    adj = g._adj
     for v in snapshot:
         if _is_dominated(g, v):
+            touched |= adj[v]
             g.remove_vertex(v)
             removed.append(v)
     f0_after = g.non_isolated_count()
-    return PhaseReport(
+    report = PhaseReport(
         phase_index=phase_index,
         removed=removed,
         f0_after=f0_after,
         isolated_created=f0_before - len(removed) - f0_after,
     )
+    return report, touched
+
+
+def prune_phase(
+    g: AdjacencyGraph,
+    phase_index: int = 1,
+    order_rng: np.random.Generator | None = None,
+) -> PhaseReport:
+    """Snapshot the dominated set by a full scan, then remove its members that re-verify.
+
+    Processing order is ascending id; `order_rng` substitutes a random
+    permutation (used by the core-uniqueness checks, not by the experiments).
+    The phase loop of `run_epoch1`/`run_core` gives the same reports; this
+    full-scan form is its reference.
+    """
+    return _prune(g, dominated_set(g), phase_index, order_rng)[0]
+
+
+def _run_phases(
+    g: AdjacencyGraph,
+    t: int | None,
+    order_rng: np.random.Generator | None,
+) -> CollapseTrace:
+    """Up to t phases (no limit when t is None), stopping once a phase removes nothing."""
+    initial_f0 = g.non_isolated_count()
+    phases: list[PhaseReport] = []
+    alive = g._alive
+    touched: set[int] = set()
+    for i in itertools.count(1) if t is None else range(1, t + 1):
+        if i == 1:
+            snapshot = dominated_set(g)
+        else:
+            snapshot = [v for v in sorted(touched) if alive[v] and _is_dominated(g, v)]
+        report, touched = _prune(g, snapshot, i, order_rng)
+        phases.append(report)
+        if not report.removed:
+            return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=True)
+    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=False)
 
 
 def run_epoch1(g: AdjacencyGraph, t: int) -> CollapseTrace:
     """Run up to t pruning phases, stopping early once a phase removes nothing."""
     if t < 0:
         raise ValueError(f"phase count must be >= 0, got {t}")
-    initial_f0 = g.non_isolated_count()
-    phases: list[PhaseReport] = []
-    reached_core = False
-    for i in range(1, t + 1):
-        report = prune_phase(g, phase_index=i)
-        phases.append(report)
-        if not report.removed:
-            reached_core = True
-            break
-    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=reached_core)
+    return _run_phases(g, t, None)
 
 
 def run_core(
@@ -169,16 +213,7 @@ def run_core(
     order_rng: np.random.Generator | None = None,
 ) -> CollapseTrace:
     """Prune until a phase removes nothing; the survivor has no dominated vertex."""
-    initial_f0 = g.non_isolated_count()
-    phases: list[PhaseReport] = []
-    i = 0
-    while True:
-        i += 1
-        report = prune_phase(g, phase_index=i, order_rng=order_rng)
-        phases.append(report)
-        if not report.removed:
-            break
-    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=True)
+    return _run_phases(g, None, order_rng)
 
 
 def core_vertices(g: AdjacencyGraph) -> list[int]:

@@ -247,6 +247,8 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row u starts at offset S(u) = u*n - u*(u+1)/2.  The float solve is
     corrected by integer fix-up passes, keeping the map exact well past 10^6.
+    A pass that finds nothing to fix certifies every row; if none does, the
+    map raises instead of returning unverified rows.
     """
     b = 2 * n - 1
     u = ((b - np.sqrt(np.float64(b) * b - 8.0 * idx.astype(np.float64))) // 2).astype(np.int64)
@@ -262,6 +264,8 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         u[too_low] += 1
         if not (too_high.any() or too_low.any()):
             break
+    else:
+        raise ArithmeticError(f"pair-index row solve did not settle within 3 passes at n={n}")
     v = idx - start(u) + u + 1
     return u, v
 

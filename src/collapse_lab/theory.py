@@ -29,20 +29,6 @@ _DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TheoryParams:
-    """Density constant and fixed-point tolerance."""
-
-    c: float
-    tol: float = _DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError(f"density constant must be > 0, got {self.c}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tol}")
-
-
-@dataclass(frozen=True)
 class GammaTable:
     """gamma_0..gamma_T plus (optionally) the limit gamma_star."""
 

@@ -1,17 +1,21 @@
 """Domination, pruning phases, and the one-at-a-time deletion epoch.
 
-The incremental bookkeeping inside run_epoch2 leans on the locality fact
-(deleting b can only change domination status inside N(b)); several tests
-here replay the same decisions against a full-rescan reimplementation.
+The worklist phases of run_epoch1/run_core and the incremental bookkeeping
+inside run_epoch2 lean on the locality fact (deleting b can only change
+domination status inside N(b)); several tests here replay the same decisions
+against a full-rescan reimplementation.
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collapse_lab.collapse_engine import (
     CollapseTrace,
     PhaseReport,
+    _is_dominated,
     core_vertices,
     count_dominated_pairs,
     dominated_set,
@@ -83,6 +87,27 @@ def test_dominated_set_examples():
     assert dominated_set(AdjacencyGraph(3)) == []  # isolated: never dominated
 
 
+small_edge_lists = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24),
+    )
+)
+
+
+@settings(deadline=None)
+@given(small_edge_lists)
+@example((2, [(0, 1)]))  # isolated K2: two leaves dominating each other
+@example((5, [(0, 1), (1, 2), (2, 3), (1, 4)]))  # leaves on a path and a pendant
+@example((3, []))
+def test_is_dominated_equals_neighbor_containment(case):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    for v in g.alive_ids():
+        expect = any(g.is_closed_nbhd_subset(v, w) for w in g.neighbors(v))
+        assert _is_dominated(g, v) == expect
+
+
 # -- epoch 1 ---------------------------------------------------------------------
 
 
@@ -128,6 +153,56 @@ def test_run_epoch1_zero_phases():
     assert trace.phases == []
     assert not trace.reached_core
     assert trace.final_f0() == trace.initial_f0 == 3
+
+
+def rescan_phases(g, t=None, order_rng=None):
+    """Full-rescan reference: repeated prune_phase until one removes nothing, or t phases."""
+    reports = []
+    while t is None or len(reports) < t:
+        reports.append(prune_phase(g, phase_index=len(reports) + 1, order_rng=order_rng))
+        if not reports[-1].removed:
+            break
+    return reports
+
+
+@pytest.mark.parametrize("n,p", [(12, 0.2), (30, 0.08), (60, 0.02), (60, 0.05), (60, 0.1)])
+def test_phase_loop_matches_full_rescan(n, p):
+    cut_short = 0
+    for k in range(20):
+        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(144, k)))
+        a, b = g.copy(), g.copy()
+        assert run_core(a).phases == rescan_phases(b)
+        assert sorted(a.edges()) == sorted(b.edges())
+        for t in (0, 1, 2, 5):
+            a, b = g.copy(), g.copy()
+            trace = run_epoch1(a, t)
+            expect = rescan_phases(b, t)
+            assert trace.phases == expect
+            assert trace.reached_core == (bool(expect) and not expect[-1].removed)
+            assert sorted(a.edges()) == sorted(b.edges())
+            cut_short += t > 0 and not trace.reached_core
+    assert cut_short > 0  # some budgets stop before the core
+
+
+@settings(deadline=None)
+@given(small_edge_lists)
+# 0 and 1 are twins; removing 0 leaves 1 undominated at its turn, and removing
+# 2 makes it a leaf again, so phase 2 must re-check a failed snapshot member
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]))
+def test_phase_loop_matches_full_rescan_on_small_graphs(case):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    assert run_core(g.copy()).phases == rescan_phases(g.copy())
+
+
+def test_run_core_random_order_matches_full_rescan():
+    for k in range(40):
+        g = sample_er(GraphParams(n=50, p=0.06, seed=mix_seed(155, k)))
+        seed = mix_seed(166, k)
+        a, b = g.copy(), g.copy()
+        trace = run_core(a, order_rng=rng_from_seed(seed))
+        assert trace.phases == rescan_phases(b, order_rng=rng_from_seed(seed))
+        assert sorted(a.edges()) == sorted(b.edges())
 
 
 def test_trees_collapse_to_one_vertex():

@@ -210,6 +210,37 @@ def test_pair_index_boundaries_large():
         assert (int(u[i]), int(v[i])) == exact(idx)
 
 
+def test_pair_index_row_boundaries_at_1e7():
+    # index arithmetic only: first, last and start-1 index of ~20k rows
+    n = 10**7
+    rng = rng_from_seed(8)
+    rows = np.unique(
+        np.concatenate(
+            [np.arange(2000), np.arange(n - 2001, n - 1), rng.integers(0, n - 1, 16000)]
+        )
+    ).astype(np.int64)
+
+    def start(r):
+        return r * n - r * (r + 1) // 2
+
+    firsts = start(rows)
+    lasts = start(rows + 1) - 1
+    idx = np.concatenate([firsts, lasts, firsts[1:] - 1])
+    expect = np.concatenate([rows, rows, rows[1:] - 1])
+    assert rows[0] == 0 and rows[-1] == n - 2 and len(rows) > 19000
+    u, v = _pair_index_to_uv(idx, n)
+    assert (u == expect).all()
+    assert (start(u) <= idx).all() and (idx < start(u + 1)).all()
+    assert (0 <= u).all() and (u < v).all() and (v < n).all()
+
+
+def test_pair_index_past_the_last_pair_raises():
+    # no row holds this index, so every fix-up pass moves it and none certifies
+    n = 100
+    with pytest.raises(ArithmeticError):
+        _pair_index_to_uv(np.array([n * (n - 1) // 2], dtype=np.int64), n)
+
+
 # -- sampling ----------------------------------------------------------------------
 
 

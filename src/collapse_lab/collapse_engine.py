@@ -3,7 +3,9 @@
 A vertex v is dominated when some neighbor w satisfies N[v] subset-of N[w];
 removing a dominated vertex is an elementary strong collapse and preserves the
 homotopy type of the clique complex.  The engine never stores more than the
-1-skeleton: induced links stay determined by the graph.
+1-skeleton: induced links stay determined by the graph.  The containment test
+is written once, in `_dominators`; `_is_dominated`, `find_dominator` and
+`count_dominated_pairs` are built on it.
 
 Epoch 1 runs pruning phases.  A phase snapshots the currently dominated set,
 walks it in ascending id order, re-verifies each vertex against the *current*
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import insort, bisect_left
+from bisect import bisect_left
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -100,28 +102,33 @@ class Epoch2Trace:
 # -- domination -------------------------------------------------------------
 
 
-def _is_dominated(g: AdjacencyGraph, v: int) -> bool:
-    """Containment test against every neighbor; isolated vertices never qualify."""
-    nv = g.neighbor_view(v)
+def _dominators(adj: list[set[int]], v: int) -> list[int]:
+    """Neighbors w of v with N[v] subset-of N[w]; empty for an isolated v."""
+    nv = adj[v]
     target = len(nv) - 1
-    if target == 0:
-        return True  # a leaf: N[v] = {v, w} lies in N[w]
     # N[v] within N[w] for a neighbor w iff |N(v) & N(w)| == deg(v) - 1: the
     # intersection misses exactly w itself (open neighborhoods omit the owner).
-    # Direct _adj reads: hot path, every w in nv is alive by invariant.
-    adj = g._adj
-    return any(len(nv & adj[w]) == target for w in nv)
+    # A plain loop, not a comprehension: before Python 3.12 a comprehension is
+    # one more function call, and on G(n, c/n) most vertices have degree <= 3.
+    found = []
+    for w in nv:
+        if len(nv & adj[w]) == target:
+            found.append(w)
+    return found
+
+
+def _is_dominated(g: AdjacencyGraph, v: int) -> bool:
+    """Containment test against every neighbor; isolated vertices never qualify."""
+    if len(g.neighbor_view(v)) == 1:
+        return True  # a leaf: N[v] = {v, w} lies in N[w]
+    # Direct _adj reads: hot path, every w in N(v) is alive by invariant.
+    return bool(_dominators(g._adj, v))
 
 
 def find_dominator(g: AdjacencyGraph, v: int) -> int | None:
     """Smallest-id neighbor w with N[v] subset-of N[w], or None."""
-    nv = g.neighbor_view(v)
-    target = len(nv) - 1
-    adj = g._adj
-    for w in sorted(nv):
-        if len(nv & adj[w]) == target:
-            return w
-    return None
+    g.neighbor_view(v)  # raises for a removed vertex
+    return min(_dominators(g._adj, v), default=None)
 
 
 def dominated_set(g: AdjacencyGraph) -> list[int]:
@@ -248,7 +255,6 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
     rescan-and-choose loop decision for decision.
     """
     pool = dominated_set(g)
-    members = set(pool)
     removed: list[int] = []
     y_values: list[int] = []
     while pool:
@@ -257,18 +263,16 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
         nb = g.neighbors(v)
         g.remove_vertex(v)
         del pool[idx]
-        members.discard(v)
         y = 0
         for u in nb:
             now = _is_dominated(g, u)
-            before = u in members
+            at = bisect_left(pool, u)
+            before = at < len(pool) and pool[at] == u
             if now and not before:
                 y += 1
-                insort(pool, u)
-                members.add(u)
+                pool.insert(at, u)
             elif before and not now:
-                del pool[bisect_left(pool, u)]
-                members.discard(u)
+                del pool[at]
         removed.append(v)
         y_values.append(y)
     return Epoch2Trace(
@@ -288,17 +292,8 @@ def count_dominated_pairs(g: AdjacencyGraph) -> int:
     Containment forces u adjacent to w, so only adjacent ordered pairs are
     scanned.  A mutually dominating edge contributes 2.
     """
-    count = 0
     adj = g._adj
-    for u in g.alive_ids():
-        nu = adj[u]
-        target = len(nu) - 1
-        if target < 0:
-            continue
-        for w in nu:
-            if len(nu & adj[w]) == target:
-                count += 1
-    return count
+    return sum(len(_dominators(adj, u)) for u in g.alive_ids())
 
 
 def has_universal_vertex(g: AdjacencyGraph) -> bool:

@@ -117,14 +117,18 @@ def _write_text(text: str, out: str | None) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+def _csv_table(records: list[dict], columns: list[str]) -> str:
+    rows = [",".join(columns)]
+    rows += [",".join(_cell(r.get(col)) for col in columns) for r in records]
+    return "\n".join(rows) + "\n"
+
+
 def _emit_records(records: list[dict], columns: list[str], args) -> None:
     if args.format == "json":
         body = [{col: r.get(col) for col in columns} for r in records]
         _write_text(json.dumps(body) + "\n", args.out)
         return
-    rows = [",".join(columns)]
-    rows += [",".join(_cell(r.get(col)) for col in columns) for r in records]
-    _write_text("\n".join(rows) + "\n", args.out)
+    _write_text(_csv_table(records, columns), args.out)
 
 
 def _blank_record() -> dict:
@@ -230,16 +234,9 @@ def cmd_gamma(args) -> int:
         raise ValueError(f"c must be > 0, got {args.c}")
     if args.t < 0:
         raise ValueError(f"t must be >= 0, got {args.t}")
-    seq = theory.gamma_sequence(args.c, args.t + 1)
-    if args.format == "json":
-        body = [
-            {"t": t, "gamma": seq[t], "beta": 1.0 - seq[t + 1]} for t in range(args.t + 1)
-        ]
-        _write_text(json.dumps(body) + "\n", args.out)
-    else:
-        rows = ["t,gamma,beta"]
-        rows += [f"{t},{seq[t]!r},{(1.0 - seq[t + 1])!r}" for t in range(args.t + 1)]
-        _write_text("\n".join(rows) + "\n", args.out)
+    table = theory.gamma_sequence(args.c, args.t + 1)
+    rows = [{"t": t, "gamma": table[t], "beta": table.beta_of(t)} for t in range(args.t + 1)]
+    _emit_records(rows, list(rows[0]), args)
     if args.c > 1:
         gs = theory.gamma_fixed_point(args.c)
         _say(f"gamma_star={gs!r} c_gamma_star={args.c * gs!r}")
@@ -263,12 +260,7 @@ def cmd_predict(args) -> int:
         "eps_lower": bounds.eps_lower,
         "eps_upper": bounds.eps_upper,
     }
-    cols = list(row)
-    if args.format == "json":
-        _write_text(json.dumps([row]) + "\n", args.out)
-    else:
-        rows = [",".join(cols), ",".join(_cell(row[k]) for k in cols)]
-        _write_text("\n".join(rows) + "\n", args.out)
+    _emit_records([row], list(row), args)
     _say(f"rounds_for_epsilon(c, 0.01)={theory.rounds_for_epsilon(args.c, 0.01)}")
     return 0
 
@@ -311,16 +303,10 @@ def cmd_tree(args) -> int:
             body["histogram"] = hist_rows
         _write_text(json.dumps(body) + "\n", args.out)
         return 0
-    rows = ["t,gamma_hat,gamma_theory,stderr"]
-    rows += [
-        f"{r['t']},{r['gamma_hat']!r},{r['gamma_theory']!r},{r['stderr']!r}"
-        for r in gamma_rows
-    ]
+    text = _csv_table(gamma_rows, list(gamma_rows[0]))
     if hist_rows:
-        rows.append("")
-        rows.append("k,pmf_hat,pmf_theory")
-        rows += [f"{r['k']},{r['pmf_hat']!r},{r['pmf_theory']!r}" for r in hist_rows]
-    _write_text("\n".join(rows) + "\n", args.out)
+        text += "\n" + _csv_table(hist_rows, list(hist_rows[0]))
+    _write_text(text, args.out)
     return 0
 
 

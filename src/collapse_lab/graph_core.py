@@ -248,16 +248,18 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Row u starts at offset S(u) = u*n - u*(u+1)/2.  The float solve is
     corrected by integer fix-up passes, keeping the map exact well past 10^6.
     A pass that finds nothing to fix certifies every row; if none does, the
-    map raises instead of returning unverified rows.
+    map raises instead of returning unverified rows.  Each pass first clamps
+    rows into [0, n-2], so an index outside [0, n(n-1)/2) is moved back and
+    forth and never certified.
     """
     b = 2 * n - 1
     u = ((b - np.sqrt(np.float64(b) * b - 8.0 * idx.astype(np.float64))) // 2).astype(np.int64)
-    np.clip(u, 0, n - 2, out=u)
 
     def start(row: np.ndarray) -> np.ndarray:
         return row * n - (row * (row + 1)) // 2
 
     for _ in range(3):  # float error is at most a row or two
+        np.clip(u, 0, n - 2, out=u)
         too_high = start(u) > idx
         u[too_high] -= 1
         too_low = start(u + 1) <= idx
@@ -282,35 +284,31 @@ def sample_er(params: GraphParams) -> AdjacencyGraph:
     if total_pairs == 0 or p == 0.0:
         return g
     if p == 1.0:
-        for u in range(n - 1):
-            for v in range(u + 1, n):
-                g.add_edge(u, v)
-        return g
-
-    rng = rng_from_seed(params.seed)
-    log_q = math.log1p(-p)
-    pos = -1
-    chunks: list[np.ndarray] = []
-    while pos < total_pairs:
-        want = int((total_pairs - pos) * p * 1.25) + 32
-        gaps = np.floor(np.log1p(-rng.random(want)) / log_q)
-        # inf guard: a uniform draw of exactly 0 gives gap 0; draws near 1 give huge
-        # but finite gaps, so positions just overshoot total_pairs and stop the scan.
-        positions = pos + np.cumsum(gaps.astype(np.int64) + 1)
-        inside = positions < total_pairs
-        if inside.all():
-            chunks.append(positions)
-            pos = int(positions[-1])
-        else:
-            chunks.append(positions[inside])
-            break
-
-    if chunks:
+        idx = np.arange(total_pairs, dtype=np.int64)
+    else:
+        rng = rng_from_seed(params.seed)
+        log_q = math.log1p(-p)
+        pos = -1
+        chunks: list[np.ndarray] = []
+        while pos < total_pairs:
+            want = int((total_pairs - pos) * p * 1.25) + 32
+            gaps = np.floor(np.log1p(-rng.random(want)) / log_q)
+            # inf guard: a uniform draw of exactly 0 gives gap 0; draws near 1 give huge
+            # but finite gaps, so positions just overshoot total_pairs and stop the scan.
+            positions = pos + np.cumsum(gaps.astype(np.int64) + 1)
+            inside = positions < total_pairs
+            if inside.all():
+                chunks.append(positions)
+                pos = int(positions[-1])
+            else:
+                chunks.append(positions[inside])
+                break
         idx = np.concatenate(chunks)
-        us, vs = _pair_index_to_uv(idx, n)
-        adj = g._adj
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u].add(v)
-            adj[v].add(u)
-        g._non_isolated = sum(1 for s in adj if s)
+
+    us, vs = _pair_index_to_uv(idx, n)
+    adj = g._adj
+    for u, v in zip(us.tolist(), vs.tolist()):
+        adj[u].add(v)
+        adj[v].add(u)
+    g._non_isolated = sum(1 for s in adj if s)
     return g

@@ -30,11 +30,10 @@ _DEFAULT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GammaTable:
-    """gamma_0..gamma_T plus (optionally) the limit gamma_star."""
+    """gamma_0..gamma_T for one density constant c."""
 
     c: float
     gammas: tuple[float, ...]
-    gamma_star: float | None = None
 
     def beta_of(self, t: int) -> float:
         """Survival-side complement 1 - gamma_{t+1}."""

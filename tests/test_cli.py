@@ -119,6 +119,69 @@ def test_tree_output_and_hist(capsys):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+GOLDEN_CSV = {
+    "gamma": (
+        ["gamma", "--c", "1.5", "--t", "3"],
+        "t,gamma,beta\n"
+        "0,0.0,0.7768698398515702\n"
+        "1,0.22313016014842982,0.6881723849643999\n"
+        "2,0.3118276150356001,0.6437984574084523\n"
+        "3,0.3562015425915476,0.6192825142450279\n",
+    ),
+    "predict": (
+        ["predict", "--c", "1.5", "--n", "10000"],
+        "c,n,t,expected_f0_after_t,predicted_core_f0,epsilon_t,delta_t,eps_lower,eps_upper\n"
+        "1.5,10000,11,2192.1901413321575,2180.9829640541893,0.0011207177277968439,"
+        "0.00042046091427061505,1.7310197530979937e-06,0.008590769109666347\n",
+    ),
+    "tree": (
+        ["tree", "--c", "1.5", "--t", "2", "--trials", "50", "--hist"],
+        "t,gamma_hat,gamma_theory,stderr\n"
+        "1,0.14,0.22313016014842982,0.04907137658554119\n"
+        "2,0.3,0.3118276150356001,0.0648074069840786\n"
+        "\n"
+        "k,pmf_hat,pmf_theory\n"
+        "0,0.3,0.3118276150356001\n"
+        "1,0.44,0.36337420403100557\n"
+        "2,0.22,0.21172084476881944\n"
+        "3,0.04,0.0822397693843959\n"
+        "4,0.0,0.02395859867665717\n"
+        "5,0.0,0.0055838138151008\n"
+        "6,0.0,0.001084474136074586\n"
+        "7,0.0,0.00018053469608902154\n"
+        "8,0.0,2.629724258218694e-05\n"
+        "9,0.0,3.404922438893582e-06\n"
+        "10,0.0,3.967772324715403e-07\n",
+    ),
+}
+
+
+def _typed_rows(csv_table: str) -> list[dict]:
+    """One CSV table as the JSON body's row objects: integer cells as int, others float."""
+    header, *lines = csv_table.strip().splitlines()
+
+    def typed(cell):
+        try:
+            return int(cell)
+        except ValueError:
+            return float(cell)
+
+    return [dict(zip(header.split(","), map(typed, line.split(",")))) for line in lines]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSV))
+def test_table_command_golden_bodies(command, capsys):
+    # pinned bodies; the JSON body carries the same cells, so it is derived from them
+    argv, csv_body = GOLDEN_CSV[command]
+    assert run_main(argv + ["--format", "csv"], capsys)[1] == csv_body
+    tables = [_typed_rows(block) for block in csv_body.split("\n\n")]
+    if command == "tree":
+        json_body = {"gamma": tables[0], "histogram": tables[1]}
+    else:
+        [json_body] = tables
+    assert run_main(argv + ["--format", "json"], capsys)[1] == json.dumps(json_body) + "\n"
+
+
 def test_collapse_csv_shape(capsys):
     code, out, err = run_main(
         ["collapse", "--n", "300", "--c", "1.5", "--t", "3", "--trials", "3"], capsys

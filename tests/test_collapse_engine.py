@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from collapse_lab.collapse_engine import (
     CollapseTrace,
     PhaseReport,
+    _dominators,
     _is_dominated,
     core_vertices,
     count_dominated_pairs,
@@ -106,6 +107,8 @@ def test_is_dominated_equals_neighbor_containment(case):
     for v in g.alive_ids():
         expect = any(g.is_closed_nbhd_subset(v, w) for w in g.neighbors(v))
         assert _is_dominated(g, v) == expect
+        dominators = [w for w in g.neighbors(v) if g.is_closed_nbhd_subset(v, w)]
+        assert sorted(_dominators(g._adj, v)) == dominators
 
 
 # -- epoch 1 ---------------------------------------------------------------------

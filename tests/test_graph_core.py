@@ -235,10 +235,11 @@ def test_pair_index_row_boundaries_at_1e7():
 
 
 def test_pair_index_past_the_last_pair_raises():
-    # no row holds this index, so every fix-up pass moves it and none certifies
+    # no row holds these indices, so every fix-up pass moves them and none certifies
     n = 100
-    with pytest.raises(ArithmeticError):
-        _pair_index_to_uv(np.array([n * (n - 1) // 2], dtype=np.int64), n)
+    for idx in ([n * (n - 1) // 2], [-1, -5]):
+        with pytest.raises(ArithmeticError):
+            _pair_index_to_uv(np.array(idx, dtype=np.int64), n)
 
 
 # -- sampling ----------------------------------------------------------------------

@@ -93,7 +93,6 @@ class Epoch2Trace:
     steps: int
     removed: list[int]
     y_values: list[int]
-    deleted_total: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -279,7 +278,6 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
         steps=len(removed),
         removed=removed,
         y_values=y_values,
-        deleted_total=len(removed),
     )
 
 

@@ -159,7 +159,7 @@ def _collapse_trial(task: tuple) -> tuple[dict, dict[int, int]]:
     rec["phases_to_core"] = len(trace.phases)
     e2 = engine.run_epoch2(g, rng_from_seed(mix_seed(trial_seed, 1)))
     rec["core_f0"] = g.non_isolated_count()
-    rec["epoch2_deleted"] = e2.deleted_total
+    rec["epoch2_deleted"] = e2.steps
     rec["mean_Y"] = (sum(e2.y_values) / e2.steps) if e2.steps else None
     if c > 1:
         rec["expected_f0_after_t"] = theory.expected_f0_after_t(c, n, t)
@@ -224,6 +224,12 @@ def _run_tasks(worker, tasks: list, threads: int) -> list:
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
+
+
+def _collapse_trials(n: int, c: float, t: int, trials: int, seed: int, threads: int) -> list:
+    """Run trial i of a point on the graph seeded mix_seed(seed, i)."""
+    tasks = [(n, c, t, i, mix_seed(seed, i)) for i in range(trials)]
+    return _run_tasks(_collapse_trial, tasks, threads)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -327,10 +333,7 @@ def cmd_collapse(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     t = _default_phase_budget(args.c, args.t)
     threads = resolve_threads(args.threads)
-    tasks = [
-        (args.n, args.c, t, i, mix_seed(args.seed, i)) for i in range(args.trials)
-    ]
-    results = _run_tasks(_collapse_trial, tasks, threads)
+    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
     cores = [r["core_f0"] for r in records]
@@ -347,10 +350,7 @@ def _run_sweep(config: SweepConfig, args) -> int:
     for point_index, (n, c) in enumerate(config.points()):
         point_seed = mix_seed(config.base_seed, point_index)
         t = _default_phase_budget(c, config.t)
-        tasks = [
-            (n, c, t, i, mix_seed(point_seed, i)) for i in range(config.trials)
-        ]
-        results = _run_tasks(_collapse_trial, tasks, threads)
+        results = _collapse_trials(n, c, t, config.trials, point_seed, threads)
         cores = [rec["core_f0"] for rec, _ in results]
         mean_core = sum(cores) / len(cores)
         if len(cores) > 1:
@@ -431,10 +431,7 @@ def cmd_epoch2(args) -> int:
     # phase budget chosen so the per-phase drop is under eps*(1-c*gamma)/8
     t = theory.rounds_for_epsilon(args.c, args.eps * (1.0 - cg) / 8.0)
     threads = resolve_threads(args.threads)
-    tasks = [
-        (args.n, args.c, t, i, mix_seed(args.seed, i)) for i in range(args.trials)
-    ]
-    results = _run_tasks(_collapse_trial, tasks, threads)
+    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
     pooled: dict[int, int] = {}

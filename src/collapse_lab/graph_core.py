@@ -253,7 +253,9 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     forth and never certified.
     """
     b = 2 * n - 1
-    u = ((b - np.sqrt(np.float64(b) * b - 8.0 * idx.astype(np.float64))) // 2).astype(np.int64)
+    # far past the last pair the root is NaN; the passes below raise for it
+    with np.errstate(invalid="ignore"):
+        u = ((b - np.sqrt(np.float64(b) * b - 8.0 * idx.astype(np.float64))) // 2).astype(np.int64)
 
     def start(row: np.ndarray) -> np.ndarray:
         return row * n - (row * (row + 1)) // 2

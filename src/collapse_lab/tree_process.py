@@ -8,10 +8,18 @@ root is isolated after at most t-1 rounds, and the surviving root degree
 after t-1 rounds follows a thinned Poisson law.
 
 Trees live in flat numpy arrays in BFS order: children of each node are
-contiguous, so parent / first_child / n_children columns encode the shape
-with no per-node objects.  Offspring counts are Poisson sampled by inversion:
-a cached cdf table plus searchsorted, equivalent to the textbook sequential
-search but batched per layer.
+contiguous, so the parent and n_children columns plus the layer offsets
+encode the shape with no per-node objects.  Offspring counts are Poisson
+sampled by inversion: a cached cdf table plus searchsorted, equivalent to the
+textbook sequential search but batched per layer.
+
+One height rule answers both questions the estimator asks.  A non-root
+vertex whose descendant subtree has height m is a leaf after m rounds and is
+removed in round m + 1, so a child of the root with height m survives
+exactly m rounds, and the root is first isolated at its own height (0 for a
+bare root).  _root_fate computes the heights once per tree and reads both the
+isolation round and the surviving root degree off them; root_collapse is the
+literal round-by-round reference the tests hold it to.
 
 Reproducibility: estimate_gamma gives trial i its own generator seeded with
 mix_seed(seed, i), so any single tree can be re-drawn in isolation.
@@ -58,16 +66,15 @@ def _poisson_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.
 class PoissonTree:
     """Depth-truncated offspring tree in BFS layout.
 
-    parent[0] is -1; first_child[v] is -1 for childless v.  layer_offsets has
-    one entry per depth plus a terminal size entry, so the nodes at depth d
-    occupy indices layer_offsets[d]:layer_offsets[d+1].
+    parent[0] is -1.  Each node's children are contiguous and appear in the
+    order of their parents, so parent[1:] is np.repeat(arange(size),
+    n_children) and the root's children are nodes 1..root_degree().
+    layer_offsets has one entry per depth plus a terminal size entry, so the
+    nodes at depth d occupy indices layer_offsets[d]:layer_offsets[d+1].
     """
 
     parent: np.ndarray
-    first_child: np.ndarray
     n_children: np.ndarray
-    depth: np.ndarray
-    trunc_depth: int
     layer_offsets: np.ndarray
 
     @property
@@ -114,18 +121,9 @@ def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
     for counts in counts_per_layer:
         n_children[pos : pos + len(counts)] = counts
         pos += len(counts)
-    first_child = np.full(size, -1, dtype=np.int64)
-    have = n_children > 0
-    first_child[have] = np.cumsum(n_children)[have] - n_children[have] + 1
-    depths = np.zeros(size, dtype=np.int64)
-    for d in range(1, len(offsets) - 1):
-        depths[offsets[d] : offsets[d + 1]] = d
     return PoissonTree(
         parent=parent,
-        first_child=first_child,
         n_children=n_children,
-        depth=depths,
-        trunc_depth=depth,
         layer_offsets=np.array(offsets, dtype=np.int64),
     )
 
@@ -138,7 +136,7 @@ def root_collapse(tree: PoissonTree, max_steps: int) -> int | None:
 
     Each round simultaneously removes every non-root vertex with tree degree 1
     and returns the first round index after which the root has degree 0 (0 for
-    a bare root).  Literal simulation; estimate_gamma uses the height shortcut
+    a bare root).  Literal simulation; _root_fate uses the height shortcut
     and the tests hold the two equal.
     """
     if max_steps < 0:
@@ -172,27 +170,23 @@ def _subtree_heights(tree: PoissonTree) -> np.ndarray:
     return h
 
 
-def _isolation_step(tree: PoissonTree) -> int:
-    # a non-root vertex v disappears at round height(v) + 1, so the root is
-    # first isolated at 1 + max over children, and at 0 when born childless
-    if tree.n_children[0] == 0:
-        return 0
+def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
+    """(round the root is first isolated, root degree after `steps` rounds)."""
     h = _subtree_heights(tree)
-    return int(h[0])
+    # a child with height m survives m rounds; a bare root has h[0] == 0
+    child_h = h[1 : 1 + tree.root_degree()]
+    return int(h[0]), int((child_h >= steps).sum())
+
+
+def _isolation_step(tree: PoissonTree) -> int:
+    return _root_fate(tree, 0)[0]
 
 
 def root_degree_after(tree: PoissonTree, steps: int) -> int:
     """Root degree once `steps` pruning rounds have run."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    k = tree.root_degree()
-    if k == 0 or steps == 0:
-        return k
-    h = _subtree_heights(tree)
-    lo = int(tree.first_child[0])
-    child_h = h[lo : lo + k]
-    # child with subtree height m is removed at round m + 1
-    return int((child_h >= steps).sum())
+    return _root_fate(tree, steps)[1]
 
 
 # -- Monte-Carlo gamma estimation ---------------------------------------------
@@ -239,18 +233,8 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
     hist: dict[int, int] = {}
     for i in range(trials):
         rng = rng_from_seed(mix_seed(seed, i))
-        tree = sample_tree(c, t, rng)
-        if tree.n_children[0] == 0:
-            iso += 1
-            hist[0] = hist.get(0, 0) + 1
-            continue
-        h = _subtree_heights(tree)
-        iso_step = int(h[0])
-        if iso_step < t:
-            iso[iso_step:] += 1
-        k = tree.root_degree()
-        lo = int(tree.first_child[0])
-        deg = int((h[lo : lo + k] >= t - 1).sum()) if t > 1 else k
+        step, deg = _root_fate(sample_tree(c, t, rng), t - 1)
+        iso[step:] += 1
         hist[deg] = hist.get(deg, 0) + 1
     kmax = max(hist)
     return TreeTrialStats(

@@ -323,7 +323,7 @@ def test_run_epoch2_triangle():
 def test_epoch2_trace_invariants_and_json():
     g = sample_er(GraphParams(n=50, p=0.06, seed=4))
     trace = run_epoch2(g, rng_from_seed(2))
-    assert trace.deleted_total == trace.steps == len(trace.removed) == len(trace.y_values)
+    assert trace.steps == len(trace.removed) == len(trace.y_values)
     assert all(y >= 0 for y in trace.y_values)
     blob = json.loads(trace.to_json())
     assert blob["removed"] == trace.removed

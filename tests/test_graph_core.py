@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,9 +238,13 @@ def test_pair_index_row_boundaries_at_1e7():
 def test_pair_index_past_the_last_pair_raises():
     # no row holds these indices, so every fix-up pass moves them and none certifies
     n = 100
-    for idx in ([n * (n - 1) // 2], [-1, -5]):
-        with pytest.raises(ArithmeticError):
-            _pair_index_to_uv(np.array(idx, dtype=np.int64), n)
+    for idx in ([n * (n - 1) // 2], [-1, -5], [10**12]):
+        # far past the end the float solve meets a negative square root; the
+        # map must raise without printing numpy warnings first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError):
+                _pair_index_to_uv(np.array(idx, dtype=np.int64), n)
 
 
 # -- sampling ----------------------------------------------------------------------

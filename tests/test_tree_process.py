@@ -1,8 +1,9 @@
 """Offspring trees, synchronized leaf pruning, and the isolation-time estimator.
 
-estimate_gamma takes the subtree-height shortcut; the literal round-by-round
-simulation (root_collapse, and an in-test stepper on the adjacency form) is
-held equal to it across random trees.
+estimate_gamma reads the subtree-height shortcut (_root_fate, through the
+same wrappers tested here); the literal round-by-round simulation
+(root_collapse, and an in-test stepper on the adjacency form) is held equal
+to it across random trees.
 """
 
 import math
@@ -30,10 +31,7 @@ def path_tree() -> PoissonTree:
     # root - child - grandchild
     return PoissonTree(
         parent=np.array([-1, 0, 1]),
-        first_child=np.array([1, 2, -1]),
         n_children=np.array([1, 1, 0]),
-        depth=np.array([0, 1, 2]),
-        trunc_depth=2,
         layer_offsets=np.array([0, 1, 2, 3]),
     )
 
@@ -41,10 +39,7 @@ def path_tree() -> PoissonTree:
 def star_tree(k: int) -> PoissonTree:
     return PoissonTree(
         parent=np.array([-1] + [0] * k),
-        first_child=np.array([1] + [-1] * k),
         n_children=np.array([k] + [0] * k),
-        depth=np.array([0] + [1] * k),
-        trunc_depth=1,
         layer_offsets=np.array([0, 1, 1 + k]),
     )
 
@@ -52,10 +47,7 @@ def star_tree(k: int) -> PoissonTree:
 def bare_root() -> PoissonTree:
     return PoissonTree(
         parent=np.array([-1]),
-        first_child=np.array([-1]),
         n_children=np.array([0]),
-        depth=np.array([0]),
-        trunc_depth=0,
         layer_offsets=np.array([0, 1]),
     )
 
@@ -86,7 +78,6 @@ def test_sample_degenerate():
         assert tree.size == 1
         assert tree.root_degree() == 0
         assert tree.parent[0] == -1
-        assert tree.first_child[0] == -1
 
 
 def test_sample_structure_invariants():
@@ -97,22 +88,22 @@ def test_sample_structure_invariants():
         n = tree.size
         assert tree.parent[0] == -1
         assert tree.layer_offsets[0] == 0 and tree.layer_offsets[-1] == n
-        assert tree.depth.max() <= depth
+        assert len(tree.layer_offsets) - 1 <= depth + 1
         for v in range(1, n):
             p = int(tree.parent[v])
             assert 0 <= p < v  # BFS order
-            assert tree.depth[v] == tree.depth[p] + 1
+        # children are contiguous blocks in parent order, so the root's are 1..k
+        assert np.array_equal(tree.parent[1:], np.repeat(np.arange(n), tree.n_children))
+        first = 1
         for v in range(n):
             k_v = int(tree.n_children[v])
-            fc = int(tree.first_child[v])
-            if k_v == 0:
-                assert fc == -1
-            else:
-                assert all(int(tree.parent[fc + j]) == v for j in range(k_v))
-        # layer_offsets slices agree with the depth column
-        for d in range(len(tree.layer_offsets) - 1):
-            lo, hi = int(tree.layer_offsets[d]), int(tree.layer_offsets[d + 1])
-            assert np.all(tree.depth[lo:hi] == d)
+            assert all(int(tree.parent[first + j]) == v for j in range(k_v))
+            first += k_v
+        # the parents of layer d+1 lie in layer d
+        offs = tree.layer_offsets
+        for d in range(len(offs) - 2):
+            parents = tree.parent[offs[d + 1] : offs[d + 2]]
+            assert np.all((offs[d] <= parents) & (parents < offs[d + 1]))
 
 
 def test_mean_size_matches_branching_sum():
@@ -242,11 +233,24 @@ def test_estimate_gamma_deterministic_and_replayable():
     assert a == b
     # trial i is re-drawable in isolation from mix_seed(seed, i)
     iso = 0
+    hist = [0] * len(a.root_degree_hist)
     for i in range(400):
         tree = sample_tree(1.5, 3, rng_from_seed(mix_seed(11, i)))
         if _isolation_step(tree) <= 2:
             iso += 1
+        hist[root_degree_after(tree, 2)] += 1
     assert iso == a.isolated_by_step[-1]
+    assert tuple(hist) == a.root_degree_hist
+
+
+def test_estimate_gamma_golden_values():
+    """Counts recorded before the estimator shared its height rule."""
+    a = estimate_gamma(1.5, 4, 2000, 7)
+    assert a.isolated_by_step == (439, 625, 717, 772)
+    assert a.root_degree_hist == (772, 709, 362, 126, 27, 3, 1)
+    b = estimate_gamma(3.0, 6, 1000, 2)
+    assert b.isolated_by_step == (57, 64, 64, 64, 64, 64)
+    assert b.root_degree_hist == (64, 170, 232, 220, 161, 84, 36, 20, 11, 2)
 
 
 def test_estimate_gamma_domain():

@@ -296,7 +296,5 @@ def count_dominated_pairs(g: AdjacencyGraph) -> int:
 
 def has_universal_vertex(g: AdjacencyGraph) -> bool:
     """Whether some alive vertex is adjacent to every other alive vertex."""
-    others = g.alive_count() - 1
-    if others < 0:
-        return False
-    return any(g.degree(v) == others for v in g.alive_ids())
+    # no degree exceeds alive_count - 1; an empty graph gives 0 == -1
+    return g.max_degree() == g.alive_count() - 1

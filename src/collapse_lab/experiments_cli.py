@@ -72,8 +72,6 @@ class SweepConfig:
     trials: int
     base_seed: int
     t: int | None
-    out: str | None
-    fmt: str
 
     def __post_init__(self):
         if not self.n_values or not self.c_values:
@@ -386,8 +384,6 @@ def cmd_sweep_n(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         t=args.t,
-        out=args.out,
-        fmt=args.format,
     )
     return _run_sweep(config, args)
 
@@ -400,8 +396,6 @@ def cmd_sweep_c(args) -> int:
         trials=args.trials,
         base_seed=args.seed,
         t=args.t,
-        out=args.out,
-        fmt=args.format,
     )
     return _run_sweep(config, args)
 

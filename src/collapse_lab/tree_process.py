@@ -5,7 +5,12 @@ a sparse random graph.  Pruning removes, in synchronized rounds, every
 non-root vertex of degree 1 (in a tree those are exactly the dominated
 vertices), and never touches the root.  gamma_t is the probability that the
 root is isolated after at most t-1 rounds, and the surviving root degree
-after t-1 rounds follows a thinned Poisson law.
+after t-1 rounds follows a thinned Poisson law.  The root is isolated within
+t-1 rounds exactly when the Galton-Watson tree is extinct by generation t,
+so gamma_t is that extinction probability.  The tree is extinct by
+generation t + 1 exactly when each of the root's Poisson(c) children starts
+a subtree extinct by generation t, which is the recursion
+gamma_{t+1} = exp(-c(1 - gamma_t)).
 
 Trees live in flat numpy arrays in BFS order: children of each node are
 contiguous, so the parent and n_children columns plus the layer offsets
@@ -13,13 +18,16 @@ encode the shape with no per-node objects.  Offspring counts are Poisson
 sampled by inversion: a cached cdf table plus searchsorted, equivalent to the
 textbook sequential search but batched per layer.
 
-One height rule answers both questions the estimator asks.  A non-root
+Two layer facts answer both questions the estimator asks.  A non-root
 vertex whose descendant subtree has height m is a leaf after m rounds and is
-removed in round m + 1, so a child of the root with height m survives
-exactly m rounds, and the root is first isolated at its own height (0 for a
-bare root).  _root_fate computes the heights once per tree and reads both the
-isolation round and the surviving root degree off them; root_collapse is the
-literal round-by-round reference the tests hold it to.
+removed in round m + 1, so a child of the root survives s rounds exactly
+when it has a descendant at depth 1 + s.  sample_tree never keeps an empty
+layer, so the root is first isolated at round len(layer_offsets) - 2, its
+number of layers below (0 for a bare root), and after s rounds the root's
+degree is the number of distinct depth-1 ancestors of the nodes at depth
+1 + s (0 when that layer does not exist).  _root_fate reads both off the
+layers; root_collapse is the literal round-by-round reference the tests hold
+it to.
 
 Reproducibility: estimate_gamma gives trial i its own generator seeded with
 mix_seed(seed, i), so any single tree can be re-drawn in isolation.
@@ -70,7 +78,8 @@ class PoissonTree:
     order of their parents, so parent[1:] is np.repeat(arange(size),
     n_children) and the root's children are nodes 1..root_degree().
     layer_offsets has one entry per depth plus a terminal size entry, so the
-    nodes at depth d occupy indices layer_offsets[d]:layer_offsets[d+1].
+    nodes at depth d occupy indices layer_offsets[d]:layer_offsets[d+1], and
+    no layer is empty: the offsets rise strictly.
     """
 
     parent: np.ndarray
@@ -98,13 +107,11 @@ def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
         raise ValueError(f"depth must be >= 0, got {depth}")
     cdf = _poisson_cdf(float(c))
     parents = [np.array([-1], dtype=np.int64)]
-    counts_per_layer: list[np.ndarray] = []
     offsets = [0, 1]
     layer_start = 0
     layer_size = 1
     for _ in range(depth):
         counts = _poisson_counts(cdf, rng, layer_size)
-        counts_per_layer.append(counts)
         n_next = int(counts.sum())
         if n_next == 0:
             break
@@ -113,17 +120,10 @@ def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
         layer_start += layer_size
         layer_size = n_next
         offsets.append(layer_start + layer_size)
-    # boundary layer (or extinct tail) has no offspring draws
     parent = np.concatenate(parents)
-    size = len(parent)
-    n_children = np.zeros(size, dtype=np.int64)
-    pos = 0
-    for counts in counts_per_layer:
-        n_children[pos : pos + len(counts)] = counts
-        pos += len(counts)
     return PoissonTree(
         parent=parent,
-        n_children=n_children,
+        n_children=np.bincount(parent[1:], minlength=len(parent)),
         layer_offsets=np.array(offsets, dtype=np.int64),
     )
 
@@ -136,8 +136,8 @@ def root_collapse(tree: PoissonTree, max_steps: int) -> int | None:
 
     Each round simultaneously removes every non-root vertex with tree degree 1
     and returns the first round index after which the root has degree 0 (0 for
-    a bare root).  Literal simulation; _root_fate uses the height shortcut
-    and the tests hold the two equal.
+    a bare root).  Literal simulation; _root_fate uses the layer rule and
+    the tests hold the two equal.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
@@ -158,24 +158,19 @@ def root_collapse(tree: PoissonTree, max_steps: int) -> int | None:
     return None
 
 
-def _subtree_heights(tree: PoissonTree) -> np.ndarray:
-    """Height of each vertex's descendant subtree inside the truncation."""
-    h = np.zeros(tree.size, dtype=np.int64)
-    offsets = tree.layer_offsets
-    for d in range(len(offsets) - 2, 0, -1):
-        lo, hi = int(offsets[d]), int(offsets[d + 1])
-        if lo == hi:
-            continue
-        np.maximum.at(h, tree.parent[lo:hi], h[lo:hi] + 1)
-    return h
-
-
 def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
     """(round the root is first isolated, root degree after `steps` rounds)."""
-    h = _subtree_heights(tree)
-    # a child with height m survives m rounds; a bare root has h[0] == 0
-    child_h = h[1 : 1 + tree.root_degree()]
-    return int(h[0]), int((child_h >= steps).sum())
+    offsets = tree.layer_offsets
+    # no layer is empty, so the root's height is its number of layers below
+    height = len(offsets) - 2
+    if steps >= height:
+        return height, 0
+    # the children that survive `steps` rounds are the depth-1 ancestors of
+    # the nodes at depth 1 + steps; BFS order keeps the ancestors sorted
+    ancestors = np.arange(offsets[1 + steps], offsets[2 + steps])
+    for _ in range(steps):
+        ancestors = tree.parent[ancestors]
+    return height, 1 + int(np.count_nonzero(ancestors[1:] != ancestors[:-1]))
 
 
 def _isolation_step(tree: PoissonTree) -> int:

@@ -442,13 +442,11 @@ def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
 
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig(n_values=(), c_values=(1.5,), trials=1, base_seed=0, t=None,
-                    out=None, fmt="csv")
+        SweepConfig(n_values=(), c_values=(1.5,), trials=1, base_seed=0, t=None)
     with pytest.raises(ValueError):
-        SweepConfig(n_values=(100,), c_values=(1.5,), trials=0, base_seed=0, t=None,
-                    out=None, fmt="csv")
+        SweepConfig(n_values=(100,), c_values=(1.5,), trials=0, base_seed=0, t=None)
     both = SweepConfig(n_values=(100, 200), c_values=(1.5, 2.0), trials=1,
-                       base_seed=0, t=None, out=None, fmt="csv")
+                       base_seed=0, t=None)
     with pytest.raises(ValueError):
         both.points()
 

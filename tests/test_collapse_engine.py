@@ -452,3 +452,12 @@ def test_has_universal_vertex():
     assert has_universal_vertex(AdjacencyGraph(1))
     assert not has_universal_vertex(AdjacencyGraph(0))
     assert not has_universal_vertex(AdjacencyGraph(2))
+    # seeded ER graphs, half of them with removals, against the literal definition
+    for k in range(160):
+        n, p = 1 + k % 8, (0.0, 0.3, 0.7, 0.95, 1.0)[k % 5]
+        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(443, k)))
+        if k // 40 % 2:
+            for v in range(0, n, 3):
+                g.remove_vertex(v)
+        expect = any(g.degree(v) == g.alive_count() - 1 for v in g.alive_ids())
+        assert has_universal_vertex(g) == expect, (n, p, k)

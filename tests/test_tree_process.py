@@ -1,9 +1,13 @@
 """Offspring trees, synchronized leaf pruning, and the isolation-time estimator.
 
-estimate_gamma reads the subtree-height shortcut (_root_fate, through the
-same wrappers tested here); the literal round-by-round simulation
-(root_collapse, and an in-test stepper on the adjacency form) is held equal
-to it across random trees.
+estimate_gamma reads the layer rule (_root_fate, through the same wrappers
+tested here): the root is first isolated at its number of non-empty layers
+below, and after s rounds its degree is the number of distinct depth-1
+ancestors at depth 1 + s.  gamma_t is thus the probability that a Poisson(c)
+Galton-Watson tree is extinct by generation t, hence the recursion
+exp(-c(1 - gamma)).  The literal round-by-round simulation (root_collapse,
+and an in-test stepper on the adjacency form) is held equal to the rule
+across random trees.
 """
 
 import math
@@ -89,6 +93,7 @@ def test_sample_structure_invariants():
         assert tree.parent[0] == -1
         assert tree.layer_offsets[0] == 0 and tree.layer_offsets[-1] == n
         assert len(tree.layer_offsets) - 1 <= depth + 1
+        assert np.all(np.diff(tree.layer_offsets) > 0)  # no layer is empty
         for v in range(1, n):
             p = int(tree.parent[v])
             assert 0 <= p < v  # BFS order
@@ -140,6 +145,9 @@ def test_root_collapse_hand_built():
     assert root_collapse(star_tree(3), 5) == 1
     assert root_collapse(path_tree(), 5) == 2
     assert root_collapse(path_tree(), 1) is None  # budget too small
+    assert _isolation_step(bare_root()) == 0
+    assert _isolation_step(star_tree(3)) == 1
+    assert _isolation_step(path_tree()) == 2
     with pytest.raises(ValueError):
         root_collapse(path_tree(), -1)
 
@@ -152,6 +160,9 @@ def test_root_degree_after_hand_built():
     star = star_tree(4)
     assert root_degree_after(star, 0) == 4
     assert root_degree_after(star, 1) == 0
+    assert root_degree_after(bare_root(), 0) == 0  # steps >= height at height 0
+    assert root_degree_after(star_tree(3), 0) == 3
+    assert root_degree_after(path_tree(), 0) == 1
     with pytest.raises(ValueError):
         root_degree_after(tree, -1)
 

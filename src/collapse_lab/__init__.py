@@ -13,7 +13,6 @@ from .collapse_engine import (
     dominated_set,
     find_dominator,
     has_universal_vertex,
-    newly_dominated_after_deletion,
     prune_phase,
     run_core,
     run_epoch1,
@@ -68,7 +67,6 @@ __all__ = [
     "dominated_set",
     "find_dominator",
     "has_universal_vertex",
-    "newly_dominated_after_deletion",
     "prune_phase",
     "run_core",
     "run_epoch1",

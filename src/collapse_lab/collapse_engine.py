@@ -38,9 +38,8 @@ incrementally during epoch 2; tests cross-check against full rescans.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_left
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,30 +71,12 @@ class CollapseTrace:
     def removed_total(self) -> int:
         return sum(len(ph.removed) for ph in self.phases)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "initial_f0": self.initial_f0,
-                "reached_core": self.reached_core,
-                "phases": [asdict(ph) for ph in self.phases],
-            }
-        )
-
-    def csv_rows(self) -> list[str]:
-        """Per-phase rows under the frozen header "phase,f0_after,removed_count"."""
-        rows = ["phase,f0_after,removed_count"]
-        rows += [f"{ph.phase_index},{ph.f0_after},{len(ph.removed)}" for ph in self.phases]
-        return rows
-
 
 @dataclass(frozen=True)
 class Epoch2Trace:
     steps: int
     removed: list[int]
     y_values: list[int]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 # -- domination -------------------------------------------------------------
@@ -228,21 +209,6 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 
 
 # -- epoch 2: one uniform dominated vertex at a time --------------------------
-
-
-def newly_dominated_after_deletion(g: AdjacencyGraph, b: int) -> set[int]:
-    """Vertices that are dominated in g minus b but were not dominated in g.
-
-    Measures by delete-and-restore; g is left exactly as it was.  By the
-    locality fact only members of N(b) can change status, so only they are
-    examined.
-    """
-    nb = g.neighbors(b)
-    was = {u: _is_dominated(g, u) for u in nb}
-    g.remove_vertex(b)
-    newly = {u for u in nb if not was[u] and _is_dominated(g, u)}
-    g.restore_vertex(b, nb)
-    return newly
 
 
 def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:

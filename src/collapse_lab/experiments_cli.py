@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import mpmath
 
@@ -61,30 +60,6 @@ RECORD_COLUMNS = [
 ]
 
 SWEEP_COLUMNS = ["n", "c", "mean_core_f0", "std_core_f0", "predicted_core_f0", "seed"]
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One-axis grid sweep: either n varies at fixed c, or c varies at fixed n."""
-
-    n_values: tuple[int, ...]
-    c_values: tuple[float, ...]
-    trials: int
-    base_seed: int
-    t: int | None
-
-    def __post_init__(self):
-        if not self.n_values or not self.c_values:
-            raise ValueError("sweep grid must be non-empty")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-    def points(self) -> list[tuple[int, float]]:
-        if len(self.n_values) > 1 and len(self.c_values) > 1:
-            raise ValueError("sweep varies one axis only")
-        if len(self.n_values) > 1:
-            return [(n, self.c_values[0]) for n in self.n_values]
-        return [(self.n_values[0], c) for c in self.c_values]
 
 
 # -- output helpers -----------------------------------------------------------
@@ -342,13 +317,15 @@ def cmd_collapse(args) -> int:
     return 0
 
 
-def _run_sweep(config: SweepConfig, args) -> int:
+def _run_sweep(points: list[tuple[int, float]], args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     threads = resolve_threads(args.threads)
     out_rows = []
-    for point_index, (n, c) in enumerate(config.points()):
-        point_seed = mix_seed(config.base_seed, point_index)
-        t = _default_phase_budget(c, config.t)
-        results = _collapse_trials(n, c, t, config.trials, point_seed, threads)
+    for point_index, (n, c) in enumerate(points):
+        point_seed = mix_seed(args.seed, point_index)
+        t = _default_phase_budget(c, args.t)
+        results = _collapse_trials(n, c, t, args.trials, point_seed, threads)
         cores = [rec["core_f0"] for rec, _ in results]
         mean_core = sum(cores) / len(cores)
         if len(cores) > 1:
@@ -377,27 +354,11 @@ def _run_sweep(config: SweepConfig, args) -> int:
 
 
 def cmd_sweep_n(args) -> int:
-    n_values = tuple(int(x) for x in args.n_grid.split(","))
-    config = SweepConfig(
-        n_values=n_values,
-        c_values=(args.c,),
-        trials=args.trials,
-        base_seed=args.seed,
-        t=args.t,
-    )
-    return _run_sweep(config, args)
+    return _run_sweep([(int(x), args.c) for x in args.n_grid.split(",")], args)
 
 
 def cmd_sweep_c(args) -> int:
-    c_values = tuple(float(x) for x in args.c_grid.split(","))
-    config = SweepConfig(
-        n_values=(args.n,),
-        c_values=c_values,
-        trials=args.trials,
-        base_seed=args.seed,
-        t=args.t,
-    )
-    return _run_sweep(config, args)
+    return _run_sweep([(args.n, float(x)) for x in args.c_grid.split(",")], args)
 
 
 def cmd_epoch2(args) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, TextIO
+from typing import AbstractSet, Iterator
 
 import numpy as np
 
@@ -81,9 +81,9 @@ class AdjacencyGraph:
     """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
 
     Neighbor sets hold alive vertices only and stay symmetric under every
-    operation.  The public `neighbors`/`closed_neighborhood` accessors return
-    sorted lists; `neighbor_view` exposes the internal set for read-only use
-    on hot paths (do not mutate it).
+    operation.  The public `neighbors` accessor returns a sorted list;
+    `neighbor_view` exposes the internal set for read-only use on hot paths
+    (do not mutate it).
     """
 
     __slots__ = ("n", "_alive", "_adj", "_alive_count", "_non_isolated")
@@ -139,10 +139,6 @@ class AdjacencyGraph:
         """Internal neighbor set of an alive vertex; treat as read-only."""
         self._require_alive(v)
         return self._adj[v]
-
-    def closed_neighborhood(self, v: int) -> list[int]:
-        self._require_alive(v)
-        return sorted(self._adj[v] | {v})
 
     def is_closed_nbhd_subset(self, u: int, w: int) -> bool:
         """Whether N[u] is contained in N[w] (both vertices alive)."""
@@ -202,29 +198,6 @@ class AdjacencyGraph:
         self._alive[v] = 0
         self._alive_count -= 1
 
-    def restore_vertex(self, v: int, neighbors) -> None:
-        """Undo a removal: revive v and re-link it to `neighbors` (all alive).
-
-        Only meaningful with the exact neighbor list captured just before the
-        matching remove_vertex call.
-        """
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex id {v} out of range [0, {self.n})")
-        if self._alive[v]:
-            raise ValueError(f"vertex {v} is already alive")
-        self._alive[v] = 1
-        self._alive_count += 1
-        nv = self._adj[v]
-        for u in neighbors:
-            self._require_alive(u)
-            au = self._adj[u]
-            if not au:
-                self._non_isolated += 1
-            au.add(v)
-            nv.add(u)
-        if nv:
-            self._non_isolated += 1
-
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph.__new__(AdjacencyGraph)
         g.n = self.n
@@ -233,13 +206,6 @@ class AdjacencyGraph:
         g._alive_count = self._alive_count
         g._non_isolated = self._non_isolated
         return g
-
-    # -- export ---------------------------------------------------------------
-
-    def write_edge_list(self, fh: TextIO) -> None:
-        """Text lines "u v" with u < v, ascending."""
-        for u, v in self.edges():
-            fh.write(f"{u} {v}\n")
 
 
 def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

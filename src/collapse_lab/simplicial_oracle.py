@@ -24,9 +24,6 @@ class CliqueCensus:
     def euler(self) -> int:
         return sum(count if d % 2 == 0 else -count for d, count in enumerate(self.f))
 
-    def as_csv_fragment(self) -> str:
-        return ",".join(str(x) for x in self.f)
-
 
 def _check_size(g: AdjacencyGraph, n_limit: int) -> None:
     alive = g.alive_count()

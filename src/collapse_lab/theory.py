@@ -11,6 +11,10 @@ the limiting core size (1-gamma)(1-c*gamma)*n, the per-phase decrement delta(t),
 the distance-to-limit epsilon(t), and geometric sandwich bounds on both the
 gamma increments and epsilon(t).
 
+The core fraction is the 2-core fraction of G(n, c/n) (Pittel, Spencer and
+Wormald, JCTA 1996): with beta = 1 - gamma and gamma = exp(-c*beta),
+(1-gamma)(1-c*gamma) = 1 - exp(-c*beta)(1 + c*beta).
+
 A note on the sandwich prefactor: the ratio bounds
 c*gamma_t <= (gamma_{t+1}-gamma_t)/(gamma_t-gamma_{t-1}) <= c*gamma_{t+1}
 telescope from gamma_1 - gamma_0 = exp(-c), which forces the prefactor

@@ -36,6 +36,7 @@ mix_seed(seed, i), so any single tree can be re-drawn in isolation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,11 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError(f"rate must be >= 0, got {lam}")
     term = math.exp(-lam)
+    if term < sys.float_info.min:
+        # a subnormal or zero first term makes every later entry wrong
+        raise ValueError(
+            f"rate {lam} too large: exp(-rate) is not a normal double (rate <= 708.39 works)"
+        )
     total = term
     cdf = [total]
     k = 0

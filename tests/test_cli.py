@@ -19,7 +19,6 @@ from collapse_lab.collapse_engine import has_universal_vertex
 from collapse_lab.experiments_cli import (
     RECORD_COLUMNS,
     SWEEP_COLUMNS,
-    SweepConfig,
     _cell,
     _collapse_trial,
     _phase_trial,
@@ -415,6 +414,9 @@ def test_exit_codes(capsys, tmp_path):
     )
     assert code == 1
     assert "error: cannot write" in err
+    code, _, err = run_main(["tree", "--c", "800", "--t", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "error:" in err
 
 
 def test_resolve_threads(monkeypatch):
@@ -440,15 +442,12 @@ def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
     assert "COLLAPSE_LAB_THREADS" in err
 
 
-def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(n_values=(), c_values=(1.5,), trials=1, base_seed=0, t=None)
-    with pytest.raises(ValueError):
-        SweepConfig(n_values=(100,), c_values=(1.5,), trials=0, base_seed=0, t=None)
-    both = SweepConfig(n_values=(100, 200), c_values=(1.5, 2.0), trials=1,
-                       base_seed=0, t=None)
-    with pytest.raises(ValueError):
-        both.points()
+def test_sweep_config_validation(capsys):
+    for argv in (["sweep-n", "--n-grid", "100,200"], ["sweep-c", "--c-grid", "1.5,2"]):
+        code, out, err = run_main(argv + ["--trials", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: trials must be >= 1" in err
 
 
 def test_cell_formatting():

@@ -85,7 +85,6 @@ def test_basic_accessors():
     assert g.non_isolated_count() == 3
     assert g.degree(0) == 2
     assert g.neighbors(0) == [1, 2]
-    assert g.closed_neighborhood(0) == [0, 1, 2]
     assert g.edge_count() == 3
     assert g.max_degree() == 2
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
@@ -126,33 +125,6 @@ def test_remove_vertex_updates_counts():
     g.remove_vertex(3)
     assert g.non_isolated_count() == 0
     assert g.edge_count() == 0
-
-
-def test_restore_vertex_round_trip():
-    rng = rng_from_seed(5)
-    g = sample_er(GraphParams(n=40, p=0.15, seed=8))
-    before_edges = sorted(g.edges())
-    before_f0 = g.non_isolated_count()
-    removed = []
-    alive = [v for v in g.alive_ids()]
-    for v in rng.choice(alive, size=12, replace=False):
-        v = int(v)
-        removed.append((v, g.neighbors(v)))
-        g.remove_vertex(v)
-    for v, nbrs in reversed(removed):
-        g.restore_vertex(v, nbrs)
-    assert sorted(g.edges()) == before_edges
-    assert g.non_isolated_count() == before_f0
-    assert g.alive_count() == 40
-
-
-def test_restore_rejects_dead_neighbor():
-    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 2)])
-    nbrs = g.neighbors(1)
-    g.remove_vertex(1)
-    g.remove_vertex(0)
-    with pytest.raises(ValueError):
-        g.restore_vertex(1, nbrs)
 
 
 def test_copy_is_independent():
@@ -336,10 +308,3 @@ def test_edge_frequency_aggregate():
     for e, h in hits.items():
         assert abs(h - p * seeds) <= 4 * se, f"pair {e}: {h} hits"
 
-
-def test_write_edge_list(tmp_path):
-    g = triangle()
-    path = tmp_path / "edges.txt"
-    with open(path, "w") as fh:
-        g.write_edge_list(fh)
-    assert path.read_text() == "0 1\n0 2\n1 2\n"

@@ -7,7 +7,6 @@ import pytest
 from collapse_lab.collapse_engine import find_dominator
 from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, sample_er
 from collapse_lab.simplicial_oracle import (
-    CliqueCensus,
     clique_census,
     euler_characteristic,
     is_dominated_via_link,
@@ -71,10 +70,6 @@ def test_census_counts_components_and_isolates():
 def test_census_empty_graph():
     assert clique_census(AdjacencyGraph(0)).f == (0,)
     assert clique_census(AdjacencyGraph(4)).f == (4,)
-
-
-def test_csv_fragment():
-    assert CliqueCensus(f=(5, 6, 2)).as_csv_fragment() == "5,6,2"
 
 
 def test_size_guard():

@@ -189,6 +189,10 @@ def test_core_prediction_frozen():
     }
     for c, frac in expect.items():
         assert core_size_prediction(c, 1.0) == pytest.approx(frac, abs=1e-12)
+        # the 2-core fraction of G(n, c/n), 1 - exp(-c*beta)(1 + c*beta), beta = 1 - gamma
+        cb = c * (1.0 - gamma_fixed_point(c))
+        two_core = 1.0 - math.exp(-cb) * (1.0 + cb)
+        assert core_size_prediction(c, 1.0) == pytest.approx(two_core, abs=1e-12)
 
 
 def test_epsilon_frozen_and_decreasing():

@@ -135,6 +135,10 @@ def test_sample_domain():
         sample_tree(-1.0, 3, rng)
     with pytest.raises(ValueError):
         sample_tree(1.5, -1, rng)
+    with pytest.raises(ValueError):
+        sample_tree(709.0, 1, rng)
+    with pytest.raises(ValueError):
+        sample_tree(800.0, 1, rng)
 
 
 # -- pruning rounds ----------------------------------------------------------------

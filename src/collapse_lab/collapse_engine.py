@@ -4,8 +4,15 @@ A vertex v is dominated when some neighbor w satisfies N[v] subset-of N[w];
 removing a dominated vertex is an elementary strong collapse and preserves the
 homotopy type of the clique complex.  The engine never stores more than the
 1-skeleton: induced links stay determined by the graph.  The containment test
-is written once, in `_dominators`; `_is_dominated`, `find_dominator` and
-`count_dominated_pairs` are built on it.
+is written once, in `_dominators`, leaf shortcut included; every other
+domination query is built on it.
+
+A collapse trial scans every alive vertex once.  `_scan` counts each vertex's
+dominators: the sum is the ordered dominated-pair count, and the vertices
+with a nonzero count, ascending, are phase 1's snapshot.  `run_trial` feeds
+both epochs from that one pass; `dominated_set`, `count_dominated_pairs`,
+`prune_phase`, `run_epoch1`, `run_core` and `run_epoch2` keep their full
+scans as references.
 
 Epoch 1 runs pruning phases.  A phase snapshots the currently dominated set,
 walks it in ascending id order, re-verifies each vertex against the *current*
@@ -15,14 +22,14 @@ deleting all of them changes the homotopy type), so re-verification is what
 keeps every single removal elementary.  Ties among mutually dominated vertices
 therefore resolve by ascending id.
 
-Only phase 1 scans every alive vertex.  Each later phase re-checks only the
-vertices touched by the previous phase, i.e. the neighbors of its removals
-(taken just before each removal).  By the locality fact below, a vertex
-outside that set kept its status through the phase; a snapshot member that
-failed re-verification lost its status to a removed neighbor, so it is
-touched.  The re-checked set is therefore exactly the dominated set at the
-start of the next phase, and `prune_phase` keeps the full scan as the
-reference.
+After a phase, only the vertices it touched are re-checked, i.e. the
+neighbors of its removals (taken just before each removal).  By the locality
+fact below, a vertex outside that set kept its status through the phase; a
+snapshot member that failed re-verification lost its status to a removed
+neighbor, so it is touched.  The re-checked set is therefore exactly the
+dominated set after the phase: the next phase's snapshot, or, once the budget
+is spent, epoch 2's starting pool.  It is phase 1's snapshot when the budget
+is 0, and empty once a phase removes nothing.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
@@ -85,6 +92,8 @@ class Epoch2Trace:
 def _dominators(adj: list[set[int]], v: int) -> list[int]:
     """Neighbors w of v with N[v] subset-of N[w]; empty for an isolated v."""
     nv = adj[v]
+    if len(nv) == 1:
+        return list(nv)  # a leaf: N[v] = {v, w} lies in N[w]
     target = len(nv) - 1
     # N[v] within N[w] for a neighbor w iff |N(v) & N(w)| == deg(v) - 1: the
     # intersection misses exactly w itself (open neighborhoods omit the owner).
@@ -99,8 +108,6 @@ def _dominators(adj: list[set[int]], v: int) -> list[int]:
 
 def _is_dominated(g: AdjacencyGraph, v: int) -> bool:
     """Containment test against every neighbor; isolated vertices never qualify."""
-    if len(g.neighbor_view(v)) == 1:
-        return True  # a leaf: N[v] = {v, w} lies in N[w]
     # Direct _adj reads: hot path, every w in N(v) is alive by invariant.
     return bool(_dominators(g._adj, v))
 
@@ -114,6 +121,19 @@ def find_dominator(g: AdjacencyGraph, v: int) -> int | None:
 def dominated_set(g: AdjacencyGraph) -> list[int]:
     """All alive dominated vertices, ascending."""
     return [v for v in g.alive_ids() if _is_dominated(g, v)]
+
+
+def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
+    """One pass over the alive vertices: the ordered dominated-pair count and the dominated set."""
+    adj = g._adj
+    pairs = 0
+    dominated: list[int] = []
+    for v in g.alive_ids():
+        k = len(_dominators(adj, v))
+        if k:
+            pairs += k
+            dominated.append(v)
+    return pairs, dominated
 
 
 # -- epoch 1: pruning phases -------------------------------------------------
@@ -170,29 +190,30 @@ def _run_phases(
     g: AdjacencyGraph,
     t: int | None,
     order_rng: np.random.Generator | None,
-) -> CollapseTrace:
-    """Up to t phases (no limit when t is None), stopping once a phase removes nothing."""
+    snapshot: list[int],
+) -> tuple[CollapseTrace, list[int]]:
+    """Up to t phases (no limit when t is None), stopping once one removes nothing.
+
+    `snapshot` is phase 1's: the dominated set of g, ascending.  Also returns
+    the dominated set the phases leave, in the same form.
+    """
+    if t is not None and t < 0:
+        raise ValueError(f"phase count must be >= 0, got {t}")
     initial_f0 = g.non_isolated_count()
     phases: list[PhaseReport] = []
     alive = g._alive
-    touched: set[int] = set()
     for i in itertools.count(1) if t is None else range(1, t + 1):
-        if i == 1:
-            snapshot = dominated_set(g)
-        else:
-            snapshot = [v for v in sorted(touched) if alive[v] and _is_dominated(g, v)]
         report, touched = _prune(g, snapshot, i, order_rng)
         phases.append(report)
+        snapshot = [v for v in sorted(touched) if alive[v] and _is_dominated(g, v)]
         if not report.removed:
-            return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=True)
-    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=False)
+            return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=True), snapshot
+    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=False), snapshot
 
 
 def run_epoch1(g: AdjacencyGraph, t: int) -> CollapseTrace:
     """Run up to t pruning phases, stopping early once a phase removes nothing."""
-    if t < 0:
-        raise ValueError(f"phase count must be >= 0, got {t}")
-    return _run_phases(g, t, None)
+    return _run_phases(g, t, None, dominated_set(g))[0]
 
 
 def run_core(
@@ -200,7 +221,7 @@ def run_core(
     order_rng: np.random.Generator | None = None,
 ) -> CollapseTrace:
     """Prune until a phase removes nothing; the survivor has no dominated vertex."""
-    return _run_phases(g, None, order_rng)
+    return _run_phases(g, None, order_rng, dominated_set(g))[0]
 
 
 def core_vertices(g: AdjacencyGraph) -> list[int]:
@@ -211,15 +232,8 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 # -- epoch 2: one uniform dominated vertex at a time --------------------------
 
 
-def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
-    """Remove uniformly chosen dominated vertices until none remain.
-
-    Per step logs Y_i = how many vertices the single deletion newly dominated.
-    The dominated pool is kept sorted and updated incrementally (only the
-    removed vertex's neighbors can change status), which matches a full
-    rescan-and-choose loop decision for decision.
-    """
-    pool = dominated_set(g)
+def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
+    """Epoch 2 from `pool`, which must be the dominated set of g, ascending."""
     removed: list[int] = []
     y_values: list[int] = []
     while pool:
@@ -247,6 +261,30 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
     )
 
 
+def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
+    """Remove uniformly chosen dominated vertices until none remain.
+
+    Per step logs Y_i = how many vertices the single deletion newly dominated.
+    The dominated pool is kept sorted and updated incrementally (only the
+    removed vertex's neighbors can change status), which matches a full
+    rescan-and-choose loop decision for decision.
+    """
+    return _epoch2(g, rng, dominated_set(g))
+
+
+def run_trial(
+    g: AdjacencyGraph, t: int, rng: np.random.Generator
+) -> tuple[int, CollapseTrace, Epoch2Trace]:
+    """Pair count, then `run_epoch1(g, t)`, then `run_epoch2(g, rng)`, on one full scan.
+
+    Gives the same values as those three calls in turn: the scan's dominated
+    set is phase 1's snapshot, and the set the phases leave is epoch 2's pool.
+    """
+    pairs, snapshot = _scan(g)
+    trace, pool = _run_phases(g, t, None, snapshot)
+    return pairs, trace, _epoch2(g, rng, pool)
+
+
 # -- phase-transition statistics ----------------------------------------------
 
 
@@ -256,11 +294,15 @@ def count_dominated_pairs(g: AdjacencyGraph) -> int:
     Containment forces u adjacent to w, so only adjacent ordered pairs are
     scanned.  A mutually dominating edge contributes 2.
     """
-    adj = g._adj
-    return sum(len(_dominators(adj, u)) for u in g.alive_ids())
+    return _scan(g)[0]
+
+
+def is_universal_degree(g: AdjacencyGraph, degree: int) -> bool:
+    """Whether an alive vertex of this degree is adjacent to every other alive vertex."""
+    return degree == g.alive_count() - 1
 
 
 def has_universal_vertex(g: AdjacencyGraph) -> bool:
     """Whether some alive vertex is adjacent to every other alive vertex."""
     # no degree exceeds alive_count - 1; an empty graph gives 0 == -1
-    return g.max_degree() == g.alive_count() - 1
+    return is_universal_degree(g, g.max_degree())

@@ -125,12 +125,11 @@ def _collapse_trial(task: tuple) -> tuple[dict, dict[int, int]]:
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
     rec["max_degree"] = g.max_degree()
-    rec["dominated_pairs"] = engine.count_dominated_pairs(g)
-    rec["has_universal"] = engine.has_universal_vertex(g)
-    trace = engine.run_epoch1(g, t)
-    rec["f0_epoch1"] = g.non_isolated_count()
+    rec["has_universal"] = engine.is_universal_degree(g, rec["max_degree"])
+    pairs, trace, e2 = engine.run_trial(g, t, rng_from_seed(mix_seed(trial_seed, 1)))
+    rec["dominated_pairs"] = pairs
+    rec["f0_epoch1"] = trace.final_f0()
     rec["phases_to_core"] = len(trace.phases)
-    e2 = engine.run_epoch2(g, rng_from_seed(mix_seed(trial_seed, 1)))
     rec["core_f0"] = g.non_isolated_count()
     rec["epoch2_deleted"] = e2.steps
     rec["mean_Y"] = (sum(e2.y_values) / e2.steps) if e2.steps else None
@@ -157,7 +156,7 @@ def _phase_trial(task: tuple) -> dict:
         g = sample_er(GraphParams(n=n, p=prob, seed=trial_seed))
         rec["max_degree"] = g.max_degree()
         rec["dominated_pairs"] = engine.count_dominated_pairs(g)
-        rec["has_universal"] = engine.has_universal_vertex(g)
+        rec["has_universal"] = engine.is_universal_degree(g, rec["max_degree"])
     else:
         # universal in G(n, p) = isolated in the complement G(n, 1-p); the
         # complement has ~ n log n edges instead of ~ n^2 / 2

@@ -49,7 +49,7 @@ _CDF_TAIL = 1e-16
 
 @lru_cache(maxsize=64)
 def _poisson_cdf(lam: float) -> np.ndarray:
-    """Cumulative Poisson(lam) table, long enough that the tail is < 1e-16."""
+    """Cumulative Poisson(lam) table, until the tail is < 1e-16 or the double sum stops moving."""
     if lam < 0:
         raise ValueError(f"rate must be >= 0, got {lam}")
     term = math.exp(-lam)
@@ -61,9 +61,14 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     total = term
     cdf = [total]
     k = 0
-    while total < 1.0 - _CDF_TAIL and k < 10_000:
+    while total < 1.0 - _CDF_TAIL:
         k += 1
         term *= lam / k
+        if total + term == total:
+            # Before the mode term / total >= 1 / k, far above the rounding
+            # unit, so this happens past the mode, where later terms only
+            # shrink: no further entry could differ from this one.
+            break
         total += term
         cdf.append(total)
     out = np.array(cdf)

@@ -181,6 +181,46 @@ def test_table_command_golden_bodies(command, capsys):
     assert run_main(argv + ["--format", "json"], capsys)[1] == json.dumps(json_body) + "\n"
 
 
+# collapse-trial bodies without the measured wall_time_ms column
+GOLDEN_TRIAL_CSV = {
+    "collapse-t0": (
+        ["collapse", "--n", "300", "--c", "1.5", "--t", "0", "--trials", "3"],
+        "300,1.5,0.005,0,0,0,214,36,0,154,0.5064935064935064,6,100,false,"
+        "233.06095195547107,65.42948892162568\n"
+        "300,1.5,0.005,0,1,16294208416658607535,217,71,0,131,0.48091603053435117,7,83,false,"
+        "233.06095195547107,65.42948892162568\n"
+        "300,1.5,0.005,0,2,7960286522194355700,237,79,0,142,0.4225352112676056,6,98,false,"
+        "233.06095195547107,65.42948892162568\n",
+    ),
+    "collapse-t3": (
+        ["collapse", "--n", "300", "--c", "1.5", "--t", "3", "--trials", "3"],
+        "300,1.5,0.005,3,0,0,59,36,3,23,0.6521739130434783,6,100,false,"
+        "82.5898526323811,65.42948892162568\n"
+        "300,1.5,0.005,3,1,16294208416658607535,84,71,3,13,0.46153846153846156,7,83,false,"
+        "82.5898526323811,65.42948892162568\n"
+        "300,1.5,0.005,3,2,7960286522194355700,92,79,3,13,0.7692307692307693,6,98,false,"
+        "82.5898526323811,65.42948892162568\n",
+    ),
+    "epoch2": (
+        ["epoch2", "--n", "300", "--c", "3", "--eps", "0.02", "--trials", "3"],
+        "300,3.0,0.01,3,0,0,206,203,3,3,0.0,7,60,false,"
+        "232.02242661437467,231.76413863162446\n"
+        "300,3.0,0.01,3,1,16294208416658607535,235,235,3,0,,10,47,false,"
+        "232.02242661437467,231.76413863162446\n"
+        "300,3.0,0.01,3,2,7960286522194355700,248,248,3,0,,8,39,false,"
+        "232.02242661437467,231.76413863162446\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_TRIAL_CSV))
+def test_trial_command_golden_bodies(command, capsys):
+    argv, rows = GOLDEN_TRIAL_CSV[command]
+    code, out, _ = run_main(argv + ["--threads", "1"], capsys)
+    assert code == 0
+    assert strip_wall_time(out) + "\n" == ",".join(RECORD_COLUMNS[:-1]) + "\n" + rows
+
+
 def test_collapse_csv_shape(capsys):
     code, out, err = run_main(
         ["collapse", "--n", "300", "--c", "1.5", "--t", "3", "--trials", "3"], capsys

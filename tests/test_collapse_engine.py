@@ -3,7 +3,8 @@
 The worklist phases of run_epoch1/run_core and the incremental bookkeeping
 inside run_epoch2 lean on the locality fact (deleting b can only change
 domination status inside N(b)); several tests here replay the same decisions
-against a full-rescan reimplementation.
+against a full-rescan reimplementation, and run_trial's one scan and the pool
+it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 """
 
 import networkx as nx
@@ -16,6 +17,8 @@ from collapse_lab.collapse_engine import (
     PhaseReport,
     _dominators,
     _is_dominated,
+    _run_phases,
+    _scan,
     core_vertices,
     count_dominated_pairs,
     dominated_set,
@@ -25,6 +28,7 @@ from collapse_lab.collapse_engine import (
     run_core,
     run_epoch1,
     run_epoch2,
+    run_trial,
 )
 from collapse_lab.graph_core import (
     AdjacencyGraph,
@@ -320,6 +324,90 @@ def test_run_epoch2_matches_full_rescan():
         removed, ys = naive_epoch2(b, rng_from_seed(seed))
         assert trace.removed == removed
         assert trace.y_values == ys
+
+
+# -- one scan per trial ----------------------------------------------------------
+
+
+def subset_scan(g):
+    """Literal reference for _scan: ordered pairs and dominated vertices by containment."""
+    per_vertex = {
+        u: sum(1 for w in g.neighbors(u) if g.is_closed_nbhd_subset(u, w))
+        for u in g.alive_ids()
+    }
+    return sum(per_vertex.values()), [u for u, k in per_vertex.items() if k]
+
+
+def test_scan_matches_pair_count_and_dominated_set():
+    for k in range(30):
+        n, p = 10 + 7 * (k % 5), (0.05, 0.1, 0.2)[k % 3]
+        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(177, k)))
+        if k % 2:
+            for v in range(0, n, 4):
+                g.remove_vertex(v)
+        assert _scan(g) == (count_dominated_pairs(g), dominated_set(g)) == subset_scan(g)
+
+
+@settings(deadline=None)
+@given(small_edge_lists)
+@example((2, [(0, 1)]))  # isolated K2: two leaves dominating each other
+@example((6, [(0, 1), (1, 2), (2, 3), (1, 4)]))  # leaves, a pendant, an isolated vertex
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]))  # twins 0 and 1
+def test_scan_matches_subset_scan_on_small_graphs(case):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    assert _scan(g) == (count_dominated_pairs(g), dominated_set(g)) == subset_scan(g)
+
+
+def test_phases_hand_over_the_dominated_set():
+    for k in range(20):
+        g = sample_er(GraphParams(n=60, p=(0.02, 0.05, 0.1)[k % 3], seed=mix_seed(188, k)))
+        for t in (0, 1, 2, 5):
+            h = g.copy()
+            _, pool = _run_phases(h, t, None, dominated_set(h))
+            assert pool == dominated_set(h), (k, t)
+        h = g.copy()
+        _, pool = _run_phases(h, None, rng_from_seed(k) if k % 2 else None, dominated_set(h))
+        assert pool == dominated_set(h) == []
+
+
+@settings(deadline=None)
+@given(small_edge_lists, st.integers(0, 3))
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]), 1)
+def test_phases_hand_over_the_dominated_set_on_small_graphs(case, t):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    _, pool = _run_phases(g, t, None, dominated_set(g))
+    assert pool == dominated_set(g)
+
+
+def test_run_trial_matches_the_full_scan_composition():
+    budgets = (0, 1, 2, 5, 11)
+    stepped = 0
+    for k in range(25):
+        seed = mix_seed(199, k)
+        g = sample_er(GraphParams.from_c(n=300, c=(1.5, 3.0)[k % 2], seed=seed))
+        t = budgets[k % len(budgets)]
+        a, b = g.copy(), g.copy()
+        pairs, trace, e2 = run_trial(a, t, rng_from_seed(seed))
+        assert pairs == count_dominated_pairs(b)
+        assert trace == run_epoch1(b, t)
+        assert e2 == run_epoch2(b, rng_from_seed(seed))
+        assert list(a.alive_ids()) == list(b.alive_ids())
+        assert sorted(a.edges()) == sorted(b.edges())
+        stepped += e2.steps > 0
+    assert stepped > 0  # some budgets leave epoch 2 work
+
+
+def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
+    g = sample_er(GraphParams.from_c(n=300, c=1.5, seed=mix_seed(211, 0)))
+    walks = []
+    alive_ids = AdjacencyGraph.alive_ids
+    monkeypatch.setattr(
+        AdjacencyGraph, "alive_ids", lambda self: walks.append(1) or alive_ids(self)
+    )
+    run_trial(g, 3, rng_from_seed(0))
+    assert len(walks) == 1
 
 
 # -- topology and uniqueness -----------------------------------------------------

@@ -10,6 +10,7 @@ and an in-test stepper on the adjacency form) is held equal to the rule
 across random trees.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -68,6 +69,24 @@ def test_poisson_cdf_table():
     assert _poisson_cdf(1.5) is cdf  # cached
     with pytest.raises(ValueError):
         _poisson_cdf(-0.5)
+
+
+def test_poisson_cdf_ends_at_the_tail_or_where_the_sum_stops_moving():
+    # the tables behind the tree-gamma digests and test_estimate_gamma_golden_values
+    for c, size, digest in (
+        (1.5, 21, "9f3b794ea67f6b93fbe78db502a112db5e83196074b6d361f61a28883418b06e"),
+        (3.0, 27, "5ea457ca69ce8506c3646f7f7947478231ce60b639cce33aad1bfa24d42ab819"),
+    ):
+        cdf = _poisson_cdf(c)
+        assert len(cdf) == size
+        assert hashlib.sha256(cdf.astype("<f8").tobytes()).hexdigest() == digest
+    # at c = 4, 8, 17, 708 and others the rounded sum stalls a few ulps below
+    # 1 - 1e-16; the table must end there, not repeat its last value
+    for c in range(1, 709):
+        cdf = _poisson_cdf(float(c))
+        assert len(cdf) < 10_001, c
+        assert np.all(np.diff(cdf) > 0), c
+        assert cdf[-1] >= 1.0 - 1e-14, c
 
 
 def test_poisson_counts_mean():

@@ -14,7 +14,8 @@ implementation can replicate streams exactly):
 * edge sampling: vertex pairs (u, v) with u < v are enumerated in row-major
   order; consecutive uniform draws U map to geometric gaps
   ``floor(log1p(-U) / log1p(-p))`` and the pairs landed on become edges.
-  The edge set is a pure function of (n, p, seed).
+  Each landed index is mapped back to its pair by an exact integer search
+  of the row starts.  The edge set is a pure function of (n, p, seed).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class AdjacencyGraph:
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self.n = n
-        self._alive = bytearray([1]) * n if n else bytearray()
+        self._alive = bytearray([1]) * n
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._alive_count = n
         self._non_isolated = 0
@@ -211,40 +212,26 @@ class AdjacencyGraph:
 def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map row-major linear pair indices to (u, v) with u < v.
 
-    Row u starts at offset S(u) = u*n - u*(u+1)/2.  The float solve is
-    corrected by integer fix-up passes, keeping the map exact well past 10^6.
-    A pass that finds nothing to fix certifies every row; if none does, the
-    map raises instead of returning unverified rows.  Each pass first clamps
-    rows into [0, n-2], so an index outside [0, n(n-1)/2) is moved back and
-    forth and never certified.
+    Row u holds the pairs (u, u+1) .. (u, n-1) and starts at the exact int64
+    offset S(u) = u*n - u*(u+1)/2.  An index lies in the last row whose start
+    does not exceed it, found by binary search over S(0) .. S(n-2).  Indices
+    outside [0, n(n-1)/2) belong to no row and raise.
     """
-    b = 2 * n - 1
-    # far past the last pair the root is NaN; the passes below raise for it
-    with np.errstate(invalid="ignore"):
-        u = ((b - np.sqrt(np.float64(b) * b - 8.0 * idx.astype(np.float64))) // 2).astype(np.int64)
-
-    def start(row: np.ndarray) -> np.ndarray:
-        return row * n - (row * (row + 1)) // 2
-
-    for _ in range(3):  # float error is at most a row or two
-        np.clip(u, 0, n - 2, out=u)
-        too_high = start(u) > idx
-        u[too_high] -= 1
-        too_low = start(u + 1) <= idx
-        u[too_low] += 1
-        if not (too_high.any() or too_low.any()):
-            break
-    else:
-        raise ArithmeticError(f"pair-index row solve did not settle within 3 passes at n={n}")
-    v = idx - start(u) + u + 1
+    total = n * (n - 1) // 2
+    if idx.size and not (0 <= idx.min() and idx.max() < total):
+        raise ArithmeticError(f"pair index outside [0, {total}) at n={n}")
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    v = idx - starts[u] + u + 1
     return u, v
 
 
 def sample_er(params: GraphParams) -> AdjacencyGraph:
     """Sample G(n, p) by geometric gap skipping over the n(n-1)/2 pairs.
 
-    Expected O(n + m) work.  Deterministic in params.seed; p in {0, 1} does
-    not consume randomness at all.
+    Expected O(n + m log n) work.  Deterministic in params.seed; p in {0, 1}
+    does not consume randomness at all.
     """
     n, p = params.n, params.p
     g = AdjacencyGraph(n)

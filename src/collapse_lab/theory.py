@@ -214,9 +214,10 @@ def rounds_for_epsilon(c: float, eps: float) -> int:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     gamma = gamma_fixed_point(c)
     r = c * gamma
-    target = eps * (1.0 - r) / ((c + 1.0) * math.exp(-c))
-    if target >= 1.0:
+    # compared before dividing: exp(-c) underflows to 0.0 from c ~ 746 on
+    if eps * (1.0 - r) >= (c + 1.0) * math.exp(-c):
         return 1
+    target = eps * (1.0 - r) / ((c + 1.0) * math.exp(-c))
     # small nudge absorbs float noise so exact eps_upper(t0) inputs return t0
     t = max(1, math.ceil(math.log(target) / math.log(r) - 1e-9))
     while epsilon_bounds(c, t).eps_upper > eps:

@@ -181,7 +181,7 @@ def test_table_command_golden_bodies(command, capsys):
     assert run_main(argv + ["--format", "json"], capsys)[1] == json.dumps(json_body) + "\n"
 
 
-# collapse-trial bodies without the measured wall_time_ms column
+# trial bodies without the measured wall_time_ms column
 GOLDEN_TRIAL_CSV = {
     "collapse-t0": (
         ["collapse", "--n", "300", "--c", "1.5", "--t", "0", "--trials", "3"],
@@ -209,6 +209,19 @@ GOLDEN_TRIAL_CSV = {
         "232.02242661437467,231.76413863162446\n"
         "300,3.0,0.01,3,2,7960286522194355700,248,248,3,0,,8,39,false,"
         "232.02242661437467,231.76413863162446\n",
+    ),
+    # p = 0.9 lands on pairs up to the last rows; the dense side samples the complement
+    "phase-sparse-p0.9": (
+        ["phase-transition", "--side", "sparse", "--p", "0.9", "--n", "60", "--trials", "3"],
+        "60,,0.9,,0,0,,,,,,58,8,false,,\n"
+        "60,,0.9,,1,16294208416658607535,,,,,,58,23,false,,\n"
+        "60,,0.9,,2,7960286522194355700,,,,,,57,3,false,,\n",
+    ),
+    "phase-dense-lam0.5": (
+        ["phase-transition", "--side", "dense", "--lam", "0.5", "--n", "200", "--trials", "3"],
+        "200,,0.9867542065836299,,0,0,,,,,,199,,true,,\n"
+        "200,,0.9867542065836299,,1,16294208416658607535,,,,,,199,,true,,\n"
+        "200,,0.9867542065836299,,2,7960286522194355700,,,,,,199,,true,,\n",
     ),
 }
 

@@ -152,12 +152,17 @@ def test_non_isolated_matches_recount_under_deletions():
 
 
 def test_pair_index_bijection_small():
+    rng = np.random.default_rng(5)
     for n in (2, 3, 5, 17, 100):
         idx = np.arange(n * (n - 1) // 2, dtype=np.int64)
         u, v = _pair_index_to_uv(idx, n)
         expect = list(itertools.combinations(range(n), 2))
         got = list(zip(u.tolist(), v.tolist()))
         assert got == expect
+        # unsorted indices with repeats map one by one
+        shuffled = rng.permutation(np.concatenate([idx, idx[rng.integers(0, idx.size, 2 * n)]]))
+        u, v = _pair_index_to_uv(shuffled, n)
+        assert list(zip(u.tolist(), v.tolist())) == [expect[i] for i in shuffled.tolist()]
 
 
 def test_pair_index_boundaries_large():
@@ -208,11 +213,11 @@ def test_pair_index_row_boundaries_at_1e7():
 
 
 def test_pair_index_past_the_last_pair_raises():
-    # no row holds these indices, so every fix-up pass moves them and none certifies
+    # the pairs are indexed [0, n(n-1)/2); no row holds an index outside that range
     n = 100
     for idx in ([n * (n - 1) // 2], [-1, -5], [10**12]):
-        # far past the end the float solve meets a negative square root; the
-        # map must raise without printing numpy warnings first
+        # the range is checked before any lookup, so the map raises without
+        # printing numpy warnings first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError):

@@ -275,7 +275,7 @@ def test_rounds_for_epsilon_frozen():
 
 
 def test_rounds_for_epsilon_minimal():
-    for c in (1.5, 2.0, 3.0):
+    for c in (1.5, 2.0, 3.0, 800.0):
         for eps in (0.3, 0.1, 0.01, 0.001):
             t = rounds_for_epsilon(c, eps)
             assert t >= 1

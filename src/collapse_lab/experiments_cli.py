@@ -15,10 +15,10 @@ rows.  Identical invocations give byte-identical bodies except the
 wall_time_ms column, which is measured, not derived, and is excluded from the
 determinism guarantee.
 
-Parallelism (--threads, overridden by COLLAPSE_LAB_THREADS, default = cpu
-count) fans trials out to worker processes; each worker owns its graph and
-generator and results are collected in trial-index order, so the output is
-schedule independent.
+Parallelism (--threads, default os.cpu_count()) fans trials out to worker
+processes; each worker owns its graph and generator and results are collected
+in trial-index order, so the output is schedule independent.  The tree
+command runs in one process and ignores --threads.
 """
 
 from __future__ import annotations
@@ -174,16 +174,7 @@ def _phase_trial(task: tuple) -> dict:
 
 
 def resolve_threads(flag: int | None) -> int:
-    env = os.environ.get("COLLAPSE_LAB_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"COLLAPSE_LAB_THREADS must be an integer, got {env!r}")
-    elif flag is not None:
-        value = flag
-    else:
-        value = os.cpu_count() or 1
+    value = flag if flag is not None else os.cpu_count() or 1
     if value < 1:
         raise ValueError(f"thread count must be >= 1, got {value}")
     return value
@@ -250,16 +241,16 @@ def cmd_tree(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     if args.c <= 0:
         raise ValueError(f"c must be > 0, got {args.c}")
+    table = theory.gamma_sequence(args.c, args.t)
     gamma_rows = []
     last_stats = None
     for t in range(1, args.t + 1):
         stats = estimate_gamma(args.c, t, args.trials, mix_seed(args.seed, t))
-        g_theory = theory.gamma_sequence(args.c, t)[t]
         gamma_rows.append(
             {
                 "t": t,
                 "gamma_hat": stats.gamma_hat,
-                "gamma_theory": g_theory,
+                "gamma_theory": table[t],
                 "stderr": stats.stderr,
             }
         )

@@ -38,9 +38,7 @@ def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> CliqueCe
     are accumulated per size without materializing the cliques.
     """
     _check_size(g, n_limit)
-    alive = list(g.alive_ids())
-    f: list[int] = [0]
-    f[0] = len(alive)
+    f: list[int] = []
 
     def grow(cand: list[int], depth: int) -> None:
         if len(f) <= depth:
@@ -52,11 +50,7 @@ def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> CliqueCe
             if nxt:
                 grow(nxt, depth + 1)
 
-    for u in alive:
-        nu = g.neighbor_view(u)
-        nxt = [w for w in alive if w > u and w in nu]
-        if nxt:
-            grow(nxt, 1)
+    grow(list(g.alive_ids()), 0)
     return CliqueCensus(f=tuple(f))
 
 

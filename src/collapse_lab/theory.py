@@ -30,6 +30,9 @@ import math
 from dataclasses import dataclass
 
 _DEFAULT_TOL = 1e-12
+# 10^7 Python floats take about 0.3 GB; c just above 1 asks for far longer
+# tables (t = 205 363 150 at c = 1 + 1e-7), which every trial would build
+_MAX_GAMMA_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ def gamma_sequence(c: float, T: int) -> GammaTable:
         raise ValueError(f"density constant must be > 0, got {c}")
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
+    if T > _MAX_GAMMA_STEPS:
+        raise ValueError(f"gamma table of {T} steps exceeds the {_MAX_GAMMA_STEPS} step limit")
     gs = [0.0]
     for _ in range(T):
         gs.append(math.exp(-c * (1.0 - gs[-1])))

@@ -28,11 +28,6 @@ from collapse_lab.experiments_cli import (
 from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, sample_er
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("COLLAPSE_LAB_THREADS", raising=False)
-
-
 def strip_wall_time(csv_text: str) -> str:
     """Drop the trailing wall_time_ms column from every row."""
     return "\n".join(line.rsplit(",", 1)[0] for line in csv_text.strip().splitlines())
@@ -470,29 +465,27 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_main(["tree", "--c", "800", "--t", "1", "--trials", "1"], capsys)
     assert code == 2
     assert "error:" in err
+    # c just above 1 needs a gamma table of ~2e8 steps: refused, not built
+    for argv in (
+        ["predict", "--c", "1.0000001", "--n", "10"],
+        ["collapse", "--n", "20", "--c", "1.0000001", "--trials", "1", "--threads", "1"],
+        ["sweep-c", "--n", "20", "--c-grid", "1.0000001", "--trials", "1", "--threads", "1"],
+        ["epoch2", "--n", "20", "--c", "1.0000001", "--eps", "0.01", "--trials", "1",
+         "--threads", "1"],
+    ):
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert "error: gamma table" in err
+    code, out, _ = run_main(["predict", "--c", "1.00001", "--n", "10"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "1581129"
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("COLLAPSE_LAB_THREADS", raising=False)
+def test_resolve_threads():
     assert resolve_threads(3) == 3
     assert resolve_threads(None) >= 1
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "5")
-    assert resolve_threads(1) == 5  # env wins over the flag
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zebra")
     with pytest.raises(ValueError):
-        resolve_threads(1)
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_threads(1)
-
-
-def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "many")
-    code, _, err = run_main(
-        ["collapse", "--n", "100", "--c", "1.5", "--t", "2", "--trials", "1"], capsys
-    )
-    assert code == 2
-    assert "COLLAPSE_LAB_THREADS" in err
+        resolve_threads(0)
 
 
 def test_sweep_config_validation(capsys):

@@ -113,6 +113,9 @@ def test_gamma_sequence_domain():
         gamma_sequence(-1.0, 5)
     with pytest.raises(ValueError):
         gamma_sequence(1.5, 0)
+    with pytest.raises(ValueError):
+        gamma_sequence(1.0000001, 205_363_151)
+    assert len(gamma_sequence(1.00001, 1_581_131)) == 1_581_132
 
 
 # -- root degree law ------------------------------------------------------------

@@ -4,7 +4,10 @@ Subcommands: gamma, predict, tree, collapse, sweep-n, sweep-c, epoch2,
 phase-transition, validate.  Machine output (CSV or JSON) goes to --out, or to
 stdout when --out is absent; human-readable summary lines always go to stderr
 so stdout stays parseable.  Exit codes: 0 success, 1 validation or runtime
-failure, 2 bad parameters or usage.
+failure, 2 bad parameters or usage.  Every usage error, the 10^7-step
+gamma-table cap included, is raised before any graph or tree is sampled: each
+(n, c, t) point first goes through the library calls its trials would make,
+and a sweep checks every grid point before point 0 runs.
 
 Reproducibility contract: trial i of a run with base seed s uses the seed
 mix_seed(s, i); sweep point j first derives point_seed = mix_seed(s, j) and
@@ -29,14 +32,13 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-
-import mpmath
 
 from . import collapse_engine as engine
 from . import simplicial_oracle as oracle
 from . import theory
-from .graph_core import AdjacencyGraph, GraphParams, mix_seed, rng_from_seed, sample_er
+from .graph_core import GraphParams, mix_seed, rng_from_seed, sample_er
 from .tree_process import estimate_gamma
 
 RECORD_COLUMNS = [
@@ -111,7 +113,7 @@ def _blank_record() -> dict:
 # -- per-trial workers (top level so process pools can pickle them) ------------
 
 
-def _collapse_trial(task: tuple) -> tuple[dict, dict[int, int]]:
+def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     """Sample one graph, run both epochs, return the record and Y histogram."""
     n, c, t, trial_index, trial_seed = task
     t0 = time.perf_counter()
@@ -137,10 +139,7 @@ def _collapse_trial(task: tuple) -> tuple[dict, dict[int, int]]:
         rec["expected_f0_after_t"] = theory.expected_f0_after_t(c, n, t)
         rec["predicted_core_f0"] = theory.core_size_prediction(c, n)
     rec["wall_time_ms"] = int((time.perf_counter() - t0) * 1000)
-    y_hist: dict[int, int] = {}
-    for y in e2.y_values:
-        y_hist[y] = y_hist.get(y, 0) + 1
-    return rec, y_hist
+    return rec, Counter(e2.y_values)
 
 
 def _phase_trial(task: tuple) -> dict:
@@ -180,7 +179,8 @@ def resolve_threads(flag: int | None) -> int:
     return value
 
 
-def _run_tasks(worker, tasks: list, threads: int) -> list:
+def _run_tasks(worker, tasks: list, threads: int | None) -> list:
+    threads = resolve_threads(threads)
     if threads <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     workers = min(threads, len(tasks))
@@ -189,7 +189,16 @@ def _run_tasks(worker, tasks: list, threads: int) -> list:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _collapse_trials(n: int, c: float, t: int, trials: int, seed: int, threads: int) -> list:
+def _check_point(n: int, c: float, t: int) -> None:
+    """Make the library calls a trial at (n, c, t) makes, so a bad point fails in the parent."""
+    GraphParams.from_c(n=n, c=c, seed=0)
+    if c > 1:
+        theory.expected_f0_after_t(c, n, t)
+
+
+def _collapse_trials(
+    n: int, c: float, t: int, trials: int, seed: int, threads: int | None
+) -> list:
     """Run trial i of a point on the graph seeded mix_seed(seed, i)."""
     tasks = [(n, c, t, i, mix_seed(seed, i)) for i in range(trials)]
     return _run_tasks(_collapse_trial, tasks, threads)
@@ -199,8 +208,6 @@ def _collapse_trials(n: int, c: float, t: int, trials: int, seed: int, threads: 
 
 
 def cmd_gamma(args) -> int:
-    if args.c <= 0:
-        raise ValueError(f"c must be > 0, got {args.c}")
     if args.t < 0:
         raise ValueError(f"t must be >= 0, got {args.t}")
     table = theory.gamma_sequence(args.c, args.t + 1)
@@ -213,19 +220,16 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.c <= 1:
-        raise ValueError(f"theory predictions need c > 1, got {args.c}")
     t = args.t if args.t is not None else theory.rounds_for_epsilon(args.c, 0.01)
-    pred = theory.predict(args.c, args.n, t)
     bounds = theory.epsilon_bounds(args.c, t, paper_constants=args.paper_constants)
     row = {
         "c": float(args.c),
         "n": args.n,
         "t": t,
-        "expected_f0_after_t": pred.f0_after_t,
-        "predicted_core_f0": pred.core_f0,
-        "epsilon_t": pred.eps_of_t,
-        "delta_t": pred.delta_of_t,
+        "expected_f0_after_t": theory.expected_f0_after_t(args.c, args.n, t),
+        "predicted_core_f0": theory.core_size_prediction(args.c, args.n),
+        "epsilon_t": theory.epsilon_of(args.c, t),
+        "delta_t": theory.delta_of(args.c, t),
         "eps_lower": bounds.eps_lower,
         "eps_upper": bounds.eps_upper,
     }
@@ -235,12 +239,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    if args.t < 1:
-        raise ValueError(f"t must be >= 1, got {args.t}")
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
-    if args.c <= 0:
-        raise ValueError(f"c must be > 0, got {args.c}")
     table = theory.gamma_sequence(args.c, args.t)
     gamma_rows = []
     last_stats = None
@@ -290,13 +288,9 @@ def _default_phase_budget(c: float, t: int | None) -> int:
 
 
 def cmd_collapse(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     t = _default_phase_budget(args.c, args.t)
-    threads = resolve_threads(args.threads)
-    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, threads)
+    _check_point(args.n, args.c, t)
+    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, args.threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
     cores = [r["core_f0"] for r in records]
@@ -308,14 +302,13 @@ def cmd_collapse(args) -> int:
 
 
 def _run_sweep(points: list[tuple[int, float]], args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
-    threads = resolve_threads(args.threads)
+    points = [(n, c, _default_phase_budget(c, args.t)) for n, c in points]
+    for point in points:
+        _check_point(*point)
     out_rows = []
-    for point_index, (n, c) in enumerate(points):
+    for point_index, (n, c, t) in enumerate(points):
         point_seed = mix_seed(args.seed, point_index)
-        t = _default_phase_budget(c, args.t)
-        results = _collapse_trials(n, c, t, args.trials, point_seed, threads)
+        results = _collapse_trials(n, c, t, args.trials, point_seed, args.threads)
         cores = [rec["core_f0"] for rec, _ in results]
         mean_core = sum(cores) / len(cores)
         if len(cores) > 1:
@@ -352,16 +345,13 @@ def cmd_sweep_c(args) -> int:
 
 
 def cmd_epoch2(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     if not 0.0 < args.eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {args.eps}")
-    if args.c <= 1:
-        raise ValueError(f"epoch2 analysis needs c > 1, got {args.c}")
     gs = theory.gamma_fixed_point(args.c)
     cg = args.c * gs
+    # phase budget chosen so the per-phase drop is under eps*(1-c*gamma)/8
+    t = theory.rounds_for_epsilon(args.c, args.eps * (1.0 - cg) / 8.0)
+    _check_point(args.n, args.c, t)
     admissible = min(
         (1.0 - gs) * (1.0 - cg) / 12.0, (5.0 / 192.0) * (1.0 - gs) * (1.0 - cg) ** 2
     )
@@ -373,17 +363,13 @@ def cmd_epoch2(args) -> int:
             f"{admissible!r} of the deletion-budget guarantee; "
             "pass-rate predictions apply below it"
         )
-    # phase budget chosen so the per-phase drop is under eps*(1-c*gamma)/8
-    t = theory.rounds_for_epsilon(args.c, args.eps * (1.0 - cg) / 8.0)
-    threads = resolve_threads(args.threads)
-    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, threads)
+    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, args.threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
-    pooled: dict[int, int] = {}
+    pooled = Counter()
     for _, y_hist in results:
-        for y, cnt in y_hist.items():
-            pooled[y] = pooled.get(y, 0) + cnt
-    total_steps = sum(pooled.values())
+        pooled.update(y_hist)
+    total_steps = pooled.total()
     mean_y = (
         sum(y * cnt for y, cnt in pooled.items()) / total_steps if total_steps else None
     )
@@ -398,8 +384,6 @@ def cmd_epoch2(args) -> int:
 def cmd_phase_transition(args) -> int:
     if args.n < 2:
         raise ValueError(f"n must be >= 2, got {args.n}")
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     if (args.lam is None) == (args.p is None):
         raise ValueError("give exactly one of --lam or --p")
     if args.lam is not None:
@@ -411,12 +395,11 @@ def cmd_phase_transition(args) -> int:
         prob = args.p
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"edge probability {prob!r} is outside [0, 1]")
-    threads = resolve_threads(args.threads)
     tasks = [
         (args.n, prob, args.side, i, mix_seed(args.seed, i))
         for i in range(args.trials)
     ]
-    records = _run_tasks(_phase_trial, tasks, threads)
+    records = _run_tasks(_phase_trial, tasks, args.threads)
     universal_counts = [r.pop("universal_count", None) for r in records]
     _emit_records(records, RECORD_COLUMNS, args)
     if args.side == "sparse":
@@ -438,17 +421,13 @@ def cmd_phase_transition(args) -> int:
 # -- validation suite ------------------------------------------------------------
 
 
-def _random_graph(n: int, p: float, seed: int) -> AdjacencyGraph:
-    return sample_er(GraphParams(n=n, p=p, seed=seed))
-
-
 def _check_oracle_equivalence() -> tuple[bool, str]:
     """Link-cone domination must equal neighborhood-containment domination."""
     checked = 0
     for k in range(40):
         n = 4 + (k % 13)
         p = 0.15 + 0.03 * (k % 16)
-        g = _random_graph(n, p, mix_seed(101, k))
+        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(101, k)))
         for v in list(g.alive_ids()):
             via_link = oracle.is_dominated_via_link(g, v)
             via_nbhd = engine.find_dominator(g, v) is not None
@@ -462,7 +441,7 @@ def _check_chi_invariance() -> tuple[bool, str]:
     for k in range(25):
         n = 5 + (k % 12)
         p = 0.2 + 0.04 * (k % 10)
-        g = _random_graph(n, p, mix_seed(202, k))
+        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(202, k)))
         chi_before = oracle.euler_characteristic(g)
         engine.run_core(g)
         chi_after = oracle.euler_characteristic(g)
@@ -483,7 +462,7 @@ def _check_core_uniqueness() -> tuple[bool, str]:
     for k in range(20):
         n = 6 + (k % 12)
         p = 0.2 + 0.05 * (k % 8)
-        base = _random_graph(n, p, mix_seed(303, k))
+        base = sample_er(GraphParams(n=n, p=p, seed=mix_seed(303, k)))
         invariants = None
         for r in range(5):
             g = base.copy()
@@ -499,6 +478,8 @@ def _check_core_uniqueness() -> tuple[bool, str]:
 
 def _check_rate_sandwich() -> tuple[bool, str]:
     """Exact gap and epsilon sandwiches at 60-digit precision, t <= 30."""
+    import mpmath  # loaded here only: no other command needs it
+
     with mpmath.workdps(60):
         for c_val in ("1.5", "2", "3"):
             c = mpmath.mpf(c_val)
@@ -563,12 +544,16 @@ def cmd_validate(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _add_output(sub) -> None:
+    sub.add_argument("--out", type=str, default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def _add_common(sub, *, trials: int, seed: int = 0) -> None:
     sub.add_argument("--trials", type=int, default=trials)
     sub.add_argument("--seed", type=int, default=seed)
     sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gamma", help="print the gamma_t recursion table")
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--t", type=int, default=20)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(sp)
     sp.set_defaults(func=cmd_gamma)
 
     sp = sub.add_parser("predict", help="closed-form predictions for one (c, n, t)")
@@ -590,8 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=10_000)
     sp.add_argument("--t", type=int, default=None)
     sp.add_argument("--paper-constants", action="store_true")
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(sp)
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("tree", help="Monte-Carlo gamma_t from pruned offspring trees")
@@ -653,6 +636,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,16 +63,6 @@ class RateBounds:
     gap_upper: float
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Expected-value bundle at one (c, n, t)."""
-
-    f0_after_t: float
-    core_f0: float
-    delta_of_t: float
-    eps_of_t: float
-
-
 def gamma_sequence(c: float, T: int) -> GammaTable:
     """Iterate gamma_{t+1} = exp(-c(1-gamma_t)) from gamma_0 = 0 up to gamma_T."""
     if c <= 0:
@@ -176,16 +166,6 @@ def epsilon_of(c: float, t: int) -> float:
 def delta_of(c: float, t: int) -> float:
     """Expected per-vertex decrement between phases t and t+1 (= eps(t) - eps(t+1))."""
     return expected_f0_after_t(c, 1.0, t) - expected_f0_after_t(c, 1.0, t + 1)
-
-
-def predict(c: float, n: float, t: int) -> Prediction:
-    """Bundle the four expectation-level quantities at one (c, n, t)."""
-    return Prediction(
-        f0_after_t=expected_f0_after_t(c, n, t),
-        core_f0=core_size_prediction(c, n),
-        delta_of_t=delta_of(c, t),
-        eps_of_t=epsilon_of(c, t),
-    )
 
 
 def epsilon_bounds(c: float, t: int, paper_constants: bool = False) -> RateBounds:

@@ -7,9 +7,11 @@ column, which these tests strip before comparing.
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -479,6 +481,30 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = run_main(["predict", "--c", "1.00001", "--n", "10"], capsys)
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == "1581129"
+
+
+def test_refusals_come_before_any_trial(monkeypatch, capsys):
+    def no_trials(worker, tasks, threads):
+        raise AssertionError("a trial ran before the refusal")
+
+    monkeypatch.setattr(cli, "_run_tasks", no_trials)
+    for argv in (
+        ["collapse", "--c", "1.0000001", "--threads", "2"],
+        ["collapse", "--c", "1.5", "--t", "20000000"],
+        ["sweep-c", "--c-grid", "1.5,1.0000001"],  # the bad point comes second
+        ["sweep-c", "--c-grid", "1.5,0.8"],  # c <= 1 needs --t
+    ):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    probe = "import sys, collapse_lab.experiments_cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_resolve_threads():

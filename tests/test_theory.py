@@ -21,7 +21,6 @@ from collapse_lab.theory import (
     expected_universal_vertices,
     gamma_fixed_point,
     gamma_sequence,
-    predict,
     prob_degree_ge2,
     root_degree_pmf,
     rounds_for_epsilon,
@@ -212,14 +211,6 @@ def test_delta_is_epsilon_difference():
         assert delta_of(c, t) == pytest.approx(
             epsilon_of(c, t) - epsilon_of(c, t + 1), rel=1e-12
         )
-
-
-def test_predict_bundles_the_pieces():
-    pred = predict(1.5, 1e4, 5)
-    assert pred.f0_after_t == expected_f0_after_t(1.5, 1e4, 5)
-    assert pred.core_f0 == core_size_prediction(1.5, 1e4)
-    assert pred.delta_of_t == delta_of(1.5, 5)
-    assert pred.eps_of_t == epsilon_of(1.5, 5)
 
 
 def test_expectation_domain():

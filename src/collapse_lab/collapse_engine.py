@@ -14,6 +14,14 @@ both epochs from that one pass; `dominated_set`, `count_dominated_pairs`,
 `prune_phase`, `run_epoch1`, `run_core` and `run_epoch2` keep their full
 scans as references.
 
+`scan_edges` gives what `_scan` gives from sorted numpy edge arrays, with no
+set graph; the phase-transition trials, which never delete a vertex, use it
+on the sampled arrays.  Collapse trials keep `_scan`: they need the set
+graph for their deletions anyway, building the arrays from it and scanning
+them saves under a third of `_scan`'s time at n = 5*10^4, c = 1.5, and on tiny
+graphs numpy's per-call overhead makes the array scan several times slower.
+`_scan` is also `scan_edges`' test reference.
+
 Epoch 1 runs pruning phases.  A phase snapshots the currently dominated set,
 walks it in ascending id order, re-verifies each vertex against the *current*
 graph and removes it only if still dominated.  Blind simultaneous deletion of
@@ -134,6 +142,75 @@ def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
             pairs += k
             dominated.append(v)
     return pairs, dominated
+
+
+def _key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The int64 keys a*n + b of the directed edges (a, b)."""
+    key = a.astype(np.int64)
+    key *= n
+    key += b
+    return key
+
+
+def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query occurs in the ascending array `keys`.
+
+    The queries are sorted before the binary search: sorted lookups walk
+    `keys` in one direction and stay in cache, several times faster than the
+    same lookups in random order.
+    """
+    order = np.argsort(queries)
+    queries = queries[order]
+    at = np.searchsorted(keys, queries)
+    np.minimum(at, len(keys) - 1, out=at)
+    found = np.empty(len(queries), dtype=bool)
+    found[order] = keys[at] == queries
+    return found
+
+
+def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
+    """What `_scan` gives for the graph on [0, n) with the edges (us[i], vs[i]).
+
+    Each edge appears once, in either orientation, and no edge is a loop.  The
+    directed edges are sorted once by the key v*n + w, which gives a CSR view:
+    v's neighbors, ascending, fill dst[start[v]:start[v + 1]].  A leaf is
+    dominated by its one neighbor.  For deg(v) >= 2, w dominates v iff
+    N(v) - {w} lies in N(w).  A one-lookup filter keeps (v, w) only when x is
+    adjacent to w, x the smallest neighbor of v other than w, and every pair
+    that passes is then checked in full.  Vertex ids are int32 where n allows;
+    the keys stay int64, since v*n + w reaches 10^14 at n = 10^7.
+    """
+    ids = np.int32 if n < 2**31 else np.int64
+    deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    keys = _key(np.concatenate((us, vs)), np.concatenate((vs, us)), n)
+    keys.sort()
+    dst = (keys % n).astype(ids)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=start[1:])
+    leaves = np.flatnonzero(deg == 1)
+
+    # Filter: x is v's smallest neighbor, or its second smallest when w is the smallest.
+    multi = np.flatnonzero(deg >= 2)
+    rank = np.repeat(np.arange(len(multi), dtype=ids), deg[multi])
+    w = dst[np.repeat(deg >= 2, deg)]
+    row = start[multi]
+    first, second = dst[row][rank], dst[row + 1][rank]
+    x = np.where(w == first, second, first)
+    del first, second
+    keep = _in_sorted(keys, _key(x, w, n))
+    del x
+    v, w = multi[rank[keep]], w[keep]
+    del rank, keep
+
+    # Verification: every neighbor y != w of v is adjacent to w.
+    lens = deg[v]
+    owner = np.repeat(np.arange(len(v)), lens)
+    shift = start[v] - np.cumsum(lens) + lens
+    y = dst[np.arange(len(owner)) + shift[owner]]
+    wy = w[owner]
+    missed = ~_in_sorted(keys, _key(y, wy, n)) & (y != wy)
+    ok = np.bincount(owner[missed], minlength=len(v)) == 0
+    return len(leaves) + int(ok.sum()), np.union1d(leaves, v[ok]).tolist()
 
 
 # -- epoch 1: pruning phases -------------------------------------------------
@@ -297,12 +374,12 @@ def count_dominated_pairs(g: AdjacencyGraph) -> int:
     return _scan(g)[0]
 
 
-def is_universal_degree(g: AdjacencyGraph, degree: int) -> bool:
-    """Whether an alive vertex of this degree is adjacent to every other alive vertex."""
-    return degree == g.alive_count() - 1
+def is_universal_degree(alive: int, degree: int) -> bool:
+    """Whether a vertex of this degree, among `alive` vertices, is adjacent to all the others."""
+    return degree == alive - 1
 
 
 def has_universal_vertex(g: AdjacencyGraph) -> bool:
     """Whether some alive vertex is adjacent to every other alive vertex."""
     # no degree exceeds alive_count - 1; an empty graph gives 0 == -1
-    return is_universal_degree(g, g.max_degree())
+    return is_universal_degree(g.alive_count(), g.max_degree())

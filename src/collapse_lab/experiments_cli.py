@@ -35,10 +35,12 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import collapse_engine as engine
 from . import simplicial_oracle as oracle
 from . import theory
-from .graph_core import GraphParams, mix_seed, rng_from_seed, sample_er
+from .graph_core import GraphParams, mix_seed, rng_from_seed, sample_edges, sample_er
 from .tree_process import estimate_gamma
 
 RECORD_COLUMNS = [
@@ -127,7 +129,7 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
     rec["max_degree"] = g.max_degree()
-    rec["has_universal"] = engine.is_universal_degree(g, rec["max_degree"])
+    rec["has_universal"] = engine.is_universal_degree(g.alive_count(), rec["max_degree"])
     pairs, trace, e2 = engine.run_trial(g, t, rng_from_seed(mix_seed(trial_seed, 1)))
     rec["dominated_pairs"] = pairs
     rec["f0_epoch1"] = trace.final_f0()
@@ -143,7 +145,11 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
 
 
 def _phase_trial(task: tuple) -> dict:
-    """One phase-transition trial; the dense side samples the complement."""
+    """One phase-transition trial, computed from the sampled edge arrays.
+
+    The dense side samples the complement: universal in G(n, p) is isolated
+    in G(n, 1 - p), which has ~ n log n edges instead of ~ n^2 / 2.
+    """
     n, prob, side, trial_index, trial_seed = task
     t0 = time.perf_counter()
     rec = _blank_record()
@@ -151,20 +157,16 @@ def _phase_trial(task: tuple) -> dict:
     rec["p"] = prob
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
+    edge_prob = prob if side == "sparse" else 1.0 - prob
+    us, vs = sample_edges(GraphParams(n=n, p=edge_prob, seed=trial_seed))
+    deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     if side == "sparse":
-        g = sample_er(GraphParams(n=n, p=prob, seed=trial_seed))
-        rec["max_degree"] = g.max_degree()
-        rec["dominated_pairs"] = engine.count_dominated_pairs(g)
-        rec["has_universal"] = engine.is_universal_degree(g, rec["max_degree"])
+        rec["max_degree"] = int(deg.max())
+        rec["dominated_pairs"] = engine.scan_edges(n, us, vs)[0]
     else:
-        # universal in G(n, p) = isolated in the complement G(n, 1-p); the
-        # complement has ~ n log n edges instead of ~ n^2 / 2
-        comp = sample_er(GraphParams(n=n, p=1.0 - prob, seed=trial_seed))
-        isolated = comp.alive_count() - comp.non_isolated_count()
-        rec["has_universal"] = isolated > 0
-        min_deg = min(comp.degree(v) for v in comp.alive_ids())
-        rec["max_degree"] = n - 1 - min_deg
-        rec["universal_count"] = isolated
+        rec["max_degree"] = n - 1 - int(deg.min())
+        rec["universal_count"] = int(np.count_nonzero(deg == 0))
+    rec["has_universal"] = engine.is_universal_degree(n, rec["max_degree"])
     rec["wall_time_ms"] = int((time.perf_counter() - t0) * 1000)
     return rec
 

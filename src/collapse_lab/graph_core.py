@@ -16,6 +16,11 @@ implementation can replicate streams exactly):
   ``floor(log1p(-U) / log1p(-p))`` and the pairs landed on become edges.
   Each landed index is mapped back to its pair by an exact integer search
   of the row starts.  The edge set is a pure function of (n, p, seed).
+
+`sample_edges` is that stream as two numpy arrays; `sample_er` inserts it
+into an `AdjacencyGraph`, which costs far more than the draw itself.  Code
+that only reads a sampled graph (the phase-transition statistics) works on the
+arrays; the collapse, which deletes vertices, works on the sets.
 """
 
 from __future__ import annotations
@@ -227,17 +232,17 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def sample_er(params: GraphParams) -> AdjacencyGraph:
-    """Sample G(n, p) by geometric gap skipping over the n(n-1)/2 pairs.
+def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the edges of G(n, p) by geometric gap skipping over the n(n-1)/2 pairs.
 
+    Returns int64 arrays (us, vs) with us < vs, in ascending row-major order.
     Expected O(n + m log n) work.  Deterministic in params.seed; p in {0, 1}
     does not consume randomness at all.
     """
     n, p = params.n, params.p
-    g = AdjacencyGraph(n)
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0 or p == 0.0:
-        return g
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if p == 1.0:
         idx = np.arange(total_pairs, dtype=np.int64)
     else:
@@ -259,9 +264,14 @@ def sample_er(params: GraphParams) -> AdjacencyGraph:
                 chunks.append(positions[inside])
                 break
         idx = np.concatenate(chunks)
+    return _pair_index_to_uv(idx, n)
 
-    us, vs = _pair_index_to_uv(idx, n)
+
+def sample_er(params: GraphParams) -> AdjacencyGraph:
+    """An `AdjacencyGraph` holding the edges of `sample_edges(params)`."""
+    g = AdjacencyGraph(params.n)
     adj = g._adj
+    us, vs = sample_edges(params)
     for u, v in zip(us.tolist(), vs.tolist()):
         adj[u].add(v)
         adj[v].add(u)

@@ -17,7 +17,7 @@ import pytest
 
 from collapse_lab import experiments_cli as cli
 from collapse_lab import simplicial_oracle
-from collapse_lab.collapse_engine import has_universal_vertex
+from collapse_lab.collapse_engine import count_dominated_pairs, has_universal_vertex
 from collapse_lab.experiments_cli import (
     RECORD_COLUMNS,
     SWEEP_COLUMNS,
@@ -360,6 +360,38 @@ def test_dense_side_matches_explicit_complement():
     assert rec["universal_count"] == sum(
         1 for v in dense.alive_ids() if dense.degree(v) == n - 1
     )
+
+
+def set_graph_phase_record(n, prob, side, trial_index, seed):
+    """A phase-transition record composed from the set graph, without wall_time_ms."""
+    rec = {col: None for col in RECORD_COLUMNS}
+    rec.update(n=n, p=prob, trial_index=trial_index, seed=seed)
+    if side == "sparse":
+        g = sample_er(GraphParams(n=n, p=prob, seed=seed))
+        rec["max_degree"] = g.max_degree()
+        rec["dominated_pairs"] = count_dominated_pairs(g)
+        rec["has_universal"] = has_universal_vertex(g)
+    else:
+        comp = sample_er(GraphParams(n=n, p=1.0 - prob, seed=seed))
+        rec["max_degree"] = n - 1 - min(comp.degree(v) for v in comp.alive_ids())
+        rec["universal_count"] = comp.alive_count() - comp.non_isolated_count()
+        rec["has_universal"] = rec["universal_count"] > 0
+    del rec["wall_time_ms"]
+    return rec
+
+
+def test_phase_trial_matches_the_set_graph_composition():
+    cases = [(2, p) for p in (0.0, 0.3, 0.5, 0.9, 1.0)]
+    cases += [(n, p) for n in (3, 10, 40) for p in (0.0, 1.0)]
+    cases += [(30, 0.3), (60, 0.9)]
+    for n, prob in cases:
+        for side in ("sparse", "dense"):
+            for i in range(4):
+                seed = mix_seed(17, i)
+                rec = _phase_trial((n, prob, side, i, seed))
+                del rec["wall_time_ms"]
+                assert rec == set_graph_phase_record(n, prob, side, i, seed), (n, prob, side, i)
+                assert all(type(v) in (int, float, bool, type(None)) for v in rec.values())
 
 
 # -- determinism -------------------------------------------------------------------

@@ -8,6 +8,7 @@ it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,12 +30,14 @@ from collapse_lab.collapse_engine import (
     run_epoch1,
     run_epoch2,
     run_trial,
+    scan_edges,
 )
 from collapse_lab.graph_core import (
     AdjacencyGraph,
     GraphParams,
     mix_seed,
     rng_from_seed,
+    sample_edges,
     sample_er,
 )
 from collapse_lab.simplicial_oracle import clique_census, euler_characteristic
@@ -357,6 +360,51 @@ def test_scan_matches_subset_scan_on_small_graphs(case):
     n, edges = case
     g = graph(n, [(u, v) for u, v in edges if u != v])
     assert _scan(g) == (count_dominated_pairs(g), dominated_set(g)) == subset_scan(g)
+
+
+# -- the array scan ---------------------------------------------------------------
+
+
+def edge_arrays(g):
+    """The edges of g as the (us, vs) int64 arrays that `sample_edges` returns."""
+    pairs = np.array(sorted(g.edges()), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def test_scan_edges_matches_scan_on_sampled_graphs():
+    for n in range(71):
+        for k, p in enumerate((0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 0.95, 1.0)):
+            params = GraphParams(n=n, p=p, seed=mix_seed(231, 10 * n + k))
+            g = sample_er(params)
+            assert scan_edges(n, *sample_edges(params)) == _scan(g) == subset_scan(g), (n, p)
+
+
+@settings(deadline=None)
+@given(small_edge_lists)
+@example((2, [(0, 1)]))  # isolated K2: two leaves dominating each other
+@example((6, [(0, 1), (0, 2), (0, 3), (0, 4)]))  # a star and an isolated vertex
+@example((3, [(0, 1), (1, 2), (0, 2)]))  # a triangle
+@example((5, [(i, j) for i in range(5) for j in range(i + 1, 5)]))  # K5
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]))  # twins 0 and 1
+def test_scan_edges_matches_scan_on_small_graphs(case):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    assert scan_edges(n, *edge_arrays(g)) == _scan(g) == subset_scan(g)
+
+
+def test_scan_edges_verifies_what_its_filter_passes():
+    # For 0 -> 1 the filter's witness is 2 and for 0 -> 2 it is 1; both are
+    # adjacent to the candidate, but 3 is not, so 1 and 2 do not dominate 0.
+    # The 5 pairs: 3 under 0, and 1 and 2 each under 0 and under each other.
+    g = graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    assert scan_edges(4, *edge_arrays(g)) == _scan(g) == (5, [1, 2, 3])
+
+
+def test_scan_edges_takes_either_orientation():
+    g = sample_er(GraphParams(n=40, p=0.2, seed=mix_seed(232, 0)))
+    us, vs = edge_arrays(g)
+    flip = np.arange(len(us)) % 2 == 1
+    assert scan_edges(40, np.where(flip, vs, us), np.where(flip, us, vs)) == _scan(g)
 
 
 def test_phases_hand_over_the_dominated_set():

@@ -13,6 +13,7 @@ from collapse_lab.graph_core import (
     _pair_index_to_uv,
     mix_seed,
     rng_from_seed,
+    sample_edges,
     sample_er,
     splitmix64,
 )
@@ -237,6 +238,16 @@ def test_sample_deterministic_and_frozen():
     assert sorted(g2.edges()) == [
         (0, 2), (0, 3), (0, 5), (2, 3), (2, 4), (2, 5), (3, 5),
     ]
+
+
+def test_sample_edges_is_the_sampled_graph():
+    cases = [(10, 0.3, 12345), (6, 0.5, 777), (0, 0.5, 1), (1, 0.5, 1), (2, 1.0, 3),
+             (20, 0.0, 1), (20, 1.0, 1), (200, 0.04, 31)]
+    for n, p, seed in cases:
+        params = GraphParams(n=n, p=p, seed=seed)
+        us, vs = sample_edges(params)
+        assert us.dtype == vs.dtype == np.int64
+        assert list(zip(us.tolist(), vs.tolist())) == list(sample_er(params).edges())
 
 
 def test_sample_adjacency_is_symmetric_and_sorted():

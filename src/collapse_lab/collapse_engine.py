@@ -16,11 +16,12 @@ scans as references.
 
 `scan_edges` gives what `_scan` gives from sorted numpy edge arrays, with no
 set graph; the phase-transition trials, which never delete a vertex, use it
-on the sampled arrays.  Collapse trials keep `_scan`: they need the set
-graph for their deletions anyway, building the arrays from it and scanning
-them saves under a third of `_scan`'s time at n = 5*10^4, c = 1.5, and on tiny
-graphs numpy's per-call overhead makes the array scan several times slower.
-`_scan` is also `scan_edges`' test reference.
+on the sampled arrays.  Collapse trials keep `_scan`, which is also
+`scan_edges`' test reference.  Fed from the sampled arrays, the array scan
+takes about a third of `_scan`'s time at n = 5*10^4, c = 1.5 (some 20 ms
+against 60 ms), but a collapse trial needs the set graph for its deletions
+anyway, and keeping the arrays and the scan's temporaries beside it raised
+the peak RSS of four trials at that size by 3.5-10%.
 
 Epoch 1 runs pruning phases.  A phase snapshots the currently dominated set,
 walks it in ascending id order, re-verifies each vertex against the *current*
@@ -41,7 +42,9 @@ is 0, and empty once a phase removes nothing.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
-deletion (the Y_i statistic).
+deletion (the Y_i statistic).  The choice is `pool[rng.integers(len(pool))]`
+over the ascending dominated pool; `_bounded_draws` computes those indices
+from batched 32-bit words by numpy's own rule.
 
 Locality fact used throughout: deleting b can only change the domination
 status of b's neighbors.  For any v outside N[b], N[v] is untouched and every
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,19 +313,61 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 # -- epoch 2: one uniform dominated vertex at a time --------------------------
 
 
+_WORDS = 1024  # 32-bit words per numpy call
+_MASK32 = 0xFFFFFFFF
+
+
+def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """Return `below(k)`, which gives the value `int(rng.integers(k))` would give.
+
+    For 1 <= k <= 2^32 numpy draws `integers(k)` from its 32-bit stream by
+    Lemire's multiply-and-reject rule (D. Lemire, "Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019): m = w*k for the next word w,
+    drawn again while m mod 2^32 < (2^32 - k) mod k, and the value is m >> 32;
+    k = 1 gives 0 and takes no word.  Above 2^32 numpy switches to 64-bit
+    words, so such a k raises, as does k < 1.  `integers(0, 2**32,
+    dtype=np.uint32)` returns the same 32-bit stream in order, a half-word the
+    generator already holds first, so the rule applied here gives numpy's
+    values at one numpy call per 1024 words.  The generator ends advanced by
+    whole batches.
+    """
+    words: list[int] = []
+    at = 0
+
+    def below(k: int) -> int:
+        nonlocal words, at
+        if not 1 <= k <= 2**32:
+            raise ValueError(f"bound must lie in [1, 2^32], got {k}")
+        if k == 1:
+            return 0
+        threshold = (2**32 - k) % k
+        while True:
+            if at == len(words):
+                words = rng.integers(0, 2**32, size=_WORDS, dtype=np.uint32).tolist()
+                at = 0
+            m = words[at] * k
+            at += 1
+            if m & _MASK32 >= threshold:
+                return m >> 32
+
+    return below
+
+
 def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
     """Epoch 2 from `pool`, which must be the dominated set of g, ascending."""
     removed: list[int] = []
     y_values: list[int] = []
+    below = _bounded_draws(rng)
+    adj = g._adj
     while pool:
-        idx = int(rng.integers(len(pool)))
+        idx = below(len(pool))
         v = pool[idx]
-        nb = g.neighbors(v)
+        nb = list(adj[v])  # any order: each neighbor's pool slot is found by bisection
         g.remove_vertex(v)
         del pool[idx]
         y = 0
         for u in nb:
-            now = _is_dominated(g, u)
+            now = _dominators(adj, u)  # non-empty iff u is dominated
             at = bisect_left(pool, u)
             before = at < len(pool) and pool[at] == u
             if now and not before:
@@ -341,10 +387,13 @@ def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epo
 def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
     """Remove uniformly chosen dominated vertices until none remain.
 
-    Per step logs Y_i = how many vertices the single deletion newly dominated.
-    The dominated pool is kept sorted and updated incrementally (only the
-    removed vertex's neighbors can change status), which matches a full
-    rescan-and-choose loop decision for decision.
+    Each step removes `pool[rng.integers(len(pool))]`, `pool` the dominated set
+    in ascending order, and logs Y_i = how many vertices the single deletion
+    newly dominated.  The pool is kept sorted and updated incrementally (only
+    the removed vertex's neighbors can change status), which matches a full
+    rescan-and-choose loop decision for decision.  The indices are those numpy
+    gives, drawn by `_bounded_draws`, so `rng` ends advanced in whole batches of
+    1024 32-bit words rather than by one call per step.
     """
     return _epoch2(g, rng, dominated_set(g))
 
@@ -356,6 +405,7 @@ def run_trial(
 
     Gives the same values as those three calls in turn: the scan's dominated
     set is phase 1's snapshot, and the set the phases leave is epoch 2's pool.
+    Like `run_epoch2`, it leaves `rng` advanced in whole batches of words.
     """
     pairs, snapshot = _scan(g)
     trace, pool = _run_phases(g, t, None, snapshot)

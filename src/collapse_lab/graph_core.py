@@ -158,11 +158,12 @@ class AdjacencyGraph:
         # w in N(u) and w not in N(w): containment reduces to N(u)\{w} within N(w).
         return len(nu & self._adj[w]) == len(nu) - 1
 
+    # A removed vertex's set is empty, so these need no alive check.
     def edge_count(self) -> int:
-        return sum(len(self._adj[v]) for v in range(self.n) if self._alive[v]) // 2
+        return sum(map(len, self._adj)) // 2
 
     def max_degree(self) -> int:
-        return max((len(self._adj[v]) for v in range(self.n) if self._alive[v]), default=0)
+        return max(map(len, self._adj), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Alive edges (u, v) with u < v, in ascending order."""
@@ -218,17 +219,23 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map row-major linear pair indices to (u, v) with u < v.
 
     Row u holds the pairs (u, u+1) .. (u, n-1) and starts at the exact int64
-    offset S(u) = u*n - u*(u+1)/2.  An index lies in the last row whose start
-    does not exceed it, found by binary search over S(0) .. S(n-2).  Indices
-    outside [0, n(n-1)/2) belong to no row and raise.
+    offset S(u) = u*n - u*(u+1)/2, the sum of the lengths n-1 .. n-u of the
+    rows above it.  An index lies in the last row whose start does not exceed
+    it, found by binary search over S(0) .. S(n-2).  Indices outside
+    [0, n(n-1)/2) belong to no row and raise.
     """
     total = n * (n - 1) // 2
     if idx.size and not (0 <= idx.min() and idx.max() < total):
         raise ArithmeticError(f"pair index outside [0, {total}) at n={n}")
-    rows = np.arange(n - 1, dtype=np.int64)
-    starts = rows * n - rows * (rows + 1) // 2
-    u = np.searchsorted(starts, idx, side="right") - 1
-    v = idx - starts[u] + u + 1
+    # The row lengths summed in place: the n-1 starts are the only array of that size.
+    starts = np.arange(n, 1, -1, dtype=np.int64)
+    starts[0] = 0
+    np.cumsum(starts, out=starts)
+    u = np.searchsorted(starts, idx, side="right")
+    u -= 1
+    v = idx - starts[u]
+    v += u
+    v += 1
     return u, v
 
 
@@ -252,10 +259,19 @@ def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
         chunks: list[np.ndarray] = []
         while pos < total_pairs:
             want = int((total_pairs - pos) * p * 1.25) + 32
-            gaps = np.floor(np.log1p(-rng.random(want)) / log_q)
+            # floor(log1p(-U) / log_q), computed in place on the draw buffer.
             # inf guard: a uniform draw of exactly 0 gives gap 0; draws near 1 give huge
             # but finite gaps, so positions just overshoot total_pairs and stop the scan.
-            positions = pos + np.cumsum(gaps.astype(np.int64) + 1)
+            gaps = rng.random(want)
+            np.negative(gaps, out=gaps)
+            np.log1p(gaps, out=gaps)
+            gaps /= log_q
+            np.floor(gaps, out=gaps)
+            positions = gaps.astype(np.int64)
+            del gaps
+            positions += 1
+            np.cumsum(positions, out=positions)
+            positions += pos
             inside = positions < total_pairs
             if inside.all():
                 chunks.append(positions)
@@ -264,6 +280,7 @@ def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
                 chunks.append(positions[inside])
                 break
         idx = np.concatenate(chunks)
+        del chunks, positions, inside  # the row lookup sets the peak; only idx goes into it
     return _pair_index_to_uv(idx, n)
 
 

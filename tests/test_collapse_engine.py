@@ -7,6 +7,9 @@ against a full-rescan reimplementation, and run_trial's one scan and the pool
 it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 """
 
+import hashlib
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from collapse_lab.collapse_engine import (
     CollapseTrace,
     PhaseReport,
+    _bounded_draws,
     _dominators,
     _is_dominated,
     _run_phases,
@@ -327,6 +331,47 @@ def test_run_epoch2_matches_full_rescan():
         removed, ys = naive_epoch2(b, rng_from_seed(seed))
         assert trace.removed == removed
         assert trace.y_values == ys
+
+
+BOUNDS = (1, 2, 3, 7, 1000, 25_000, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32)
+
+
+def test_bounded_draws_match_numpy_integers():
+    # 3 * 2**30 rejects a quarter of the words; 2**31 + 1 almost half.
+    for seed in range(30):
+        a, b = rng_from_seed(mix_seed(61, seed)), rng_from_seed(mix_seed(61, seed))
+        if seed % 2:  # both generators now hold the upper half of a 64-bit word
+            assert a.integers(0, 2**32, dtype=np.uint32) == b.integers(0, 2**32, dtype=np.uint32)
+        below = _bounded_draws(a)
+        pick = rng_from_seed(seed)
+        for k in pick.choice(BOUNDS, size=3000).tolist():
+            got = below(k)
+            assert got == int(b.integers(k)), (seed, k)
+            assert 0 <= got < k
+
+
+def test_bounded_draws_of_one_consume_no_word():
+    a, b = rng_from_seed(5), rng_from_seed(5)
+    below = _bounded_draws(a)
+    assert [below(1) for _ in range(5000)] == [0] * 5000
+    assert [below(1000) for _ in range(10)] == [int(b.integers(1000)) for _ in range(10)]
+
+
+def test_bounded_draws_refuse_bounds_outside_32_bits():
+    below = _bounded_draws(rng_from_seed(0))
+    for k in (0, 2**32 + 1):
+        with pytest.raises(ValueError):
+            below(k)
+
+
+def test_epoch2_removal_log_is_pinned():
+    # trial 0 of `collapse --n 50000 --c 1.5 --t 0 --seed 0`, seeded as the CLI seeds it
+    seed = mix_seed(0, 0)
+    g = sample_er(GraphParams.from_c(n=50_000, c=1.5, seed=seed))
+    _, _, e2 = run_trial(g, 0, rng_from_seed(mix_seed(seed, 1)))
+    digest = hashlib.sha256(json.dumps([e2.removed, e2.y_values]).encode()).hexdigest()
+    assert e2.steps == 24_633
+    assert digest == "bd66a3e3947dfbdd9311557c8b88e65ae14bc84450d827bd5effef108b5acc1c"
 
 
 # -- one scan per trial ----------------------------------------------------------

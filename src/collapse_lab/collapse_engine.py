@@ -23,28 +23,29 @@ against 60 ms), but a collapse trial needs the set graph for its deletions
 anyway, and keeping the arrays and the scan's temporaries beside it raised
 the peak RSS of four trials at that size by 3.5-10%.
 
-Epoch 1 runs pruning phases.  A phase snapshots the currently dominated set,
-walks it in ascending id order, re-verifies each vertex against the *current*
-graph and removes it only if still dominated.  Blind simultaneous deletion of
-the snapshot would be unsound (in a triangle all three vertices are dominated;
-deleting all of them changes the homotopy type), so re-verification is what
-keeps every single removal elementary.  Ties among mutually dominated vertices
-therefore resolve by ascending id.
+Epoch 1 runs pruning phases, all in one loop, `_run_phases`.  A phase walks
+a snapshot of the dominated set in ascending id order, re-verifies each vertex
+against the *current* graph and removes it only if still dominated.  Blind
+simultaneous deletion of the snapshot would be unsound (in a triangle all
+three vertices are dominated; deleting all of them changes the homotopy
+type), so re-verification is what keeps every single removal elementary.
+Ties among mutually dominated vertices therefore resolve by ascending id.
 
-After a phase, only the vertices it touched are re-checked, i.e. the
-neighbors of its removals (taken just before each removal).  By the locality
-fact below, a vertex outside that set kept its status through the phase; a
-snapshot member that failed re-verification lost its status to a removed
-neighbor, so it is touched.  The re-checked set is therefore exactly the
-dominated set after the phase: the next phase's snapshot, or, once the budget
-is spent, epoch 2's starting pool.  It is phase 1's snapshot when the budget
-is 0, and empty once a phase removes nothing.
+The loop carries f0 and the snapshot from phase to phase.  The next snapshot
+re-checks only the vertices a phase touched, i.e. the neighbors of its
+removals (taken just before each removal).  By the locality fact below, a
+vertex outside that set kept its status through the phase; a snapshot member
+that failed re-verification lost its status to a removed neighbor, so it is
+touched.  The re-checked set is therefore exactly the dominated set after the
+phase: the next phase's snapshot, or, once the budget is spent, epoch 2's
+starting pool.  It is phase 1's snapshot when the budget is 0, and empty once
+a phase removes nothing.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
-deletion (the Y_i statistic).  The choice is `pool[rng.integers(len(pool))]`
-over the ascending dominated pool; `_bounded_draws` computes those indices
-from batched 32-bit words by numpy's own rule.
+deletion (the Y_i statistic).  The choice is the index numpy's
+`rng.integers(len(pool))` would give into the ascending dominated pool; the
+rule that draws it is stated in `_bounded_draws`.
 
 Locality fact used throughout: deleting b can only change the domination
 status of b's neighbors.  For any v outside N[b], N[v] is untouched and every
@@ -58,7 +59,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,51 +221,18 @@ def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
 # -- epoch 1: pruning phases -------------------------------------------------
 
 
-def _prune(
-    g: AdjacencyGraph,
-    snapshot: list[int],
-    phase_index: int,
-    order_rng: np.random.Generator | None,
-) -> tuple[PhaseReport, set[int]]:
-    """Remove the snapshot members that re-verify; also return their neighbors.
-
-    The second value is the union of each removed vertex's neighborhood, taken
-    just before its removal: the only vertices whose status the phase changed.
-    """
-    if order_rng is not None:
-        snapshot = [snapshot[i] for i in order_rng.permutation(len(snapshot))]
-    f0_before = g.non_isolated_count()
-    removed: list[int] = []
-    touched: set[int] = set()
-    adj = g._adj
-    for v in snapshot:
-        if _is_dominated(g, v):
-            touched |= adj[v]
-            g.remove_vertex(v)
-            removed.append(v)
-    f0_after = g.non_isolated_count()
-    report = PhaseReport(
-        phase_index=phase_index,
-        removed=removed,
-        f0_after=f0_after,
-        isolated_created=f0_before - len(removed) - f0_after,
-    )
-    return report, touched
-
-
 def prune_phase(
     g: AdjacencyGraph,
     phase_index: int = 1,
     order_rng: np.random.Generator | None = None,
 ) -> PhaseReport:
-    """Snapshot the dominated set by a full scan, then remove its members that re-verify.
+    """One phase of the `_run_phases` loop, its snapshot taken by a full scan.
 
-    Processing order is ascending id; `order_rng` substitutes a random
-    permutation (used by the core-uniqueness checks, not by the experiments).
-    The phase loop of `run_epoch1`/`run_core` gives the same reports; this
-    full-scan form is its reference.
+    The full-scan snapshot makes this the reference that the tests hold the
+    loop's carried snapshots to.
     """
-    return _prune(g, dominated_set(g), phase_index, order_rng)[0]
+    trace, _ = _run_phases(g, 1, order_rng, dominated_set(g))
+    return replace(trace.phases[0], phase_index=phase_index)
 
 
 def _run_phases(
@@ -275,21 +243,35 @@ def _run_phases(
 ) -> tuple[CollapseTrace, list[int]]:
     """Up to t phases (no limit when t is None), stopping once one removes nothing.
 
-    `snapshot` is phase 1's: the dominated set of g, ascending.  Also returns
-    the dominated set the phases leave, in the same form.
+    `snapshot` is phase 1's: the dominated set of g, ascending.  A phase walks
+    its snapshot in ascending order, or in an `order_rng` permutation drawn
+    anew each phase (the core-uniqueness checks use it, the experiments do
+    not), and removes each member that `_dominators` re-verifies against the
+    current graph.  The neighbors of its removals, taken just before each one,
+    re-checked, are the next snapshot.  Also returns the dominated set the
+    phases leave, in the same form.
     """
     if t is not None and t < 0:
         raise ValueError(f"phase count must be >= 0, got {t}")
-    initial_f0 = g.non_isolated_count()
+    f0 = initial_f0 = g.non_isolated_count()
     phases: list[PhaseReport] = []
-    alive = g._alive
+    adj, alive = g._adj, g._alive
     for i in itertools.count(1) if t is None else range(1, t + 1):
-        report, touched = _prune(g, snapshot, i, order_rng)
-        phases.append(report)
-        snapshot = [v for v in sorted(touched) if alive[v] and _is_dominated(g, v)]
-        if not report.removed:
-            return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=True), snapshot
-    return CollapseTrace(phases=phases, initial_f0=initial_f0, reached_core=False), snapshot
+        if order_rng is not None:
+            snapshot = [snapshot[j] for j in order_rng.permutation(len(snapshot))]
+        removed: list[int] = []
+        touched: set[int] = set()
+        for v in snapshot:
+            if _dominators(adj, v):
+                touched |= adj[v]
+                g.remove_vertex(v)
+                removed.append(v)
+        f0_before, f0 = f0, g.non_isolated_count()
+        phases.append(PhaseReport(i, removed, f0, f0_before - len(removed) - f0))
+        snapshot = [v for v in sorted(touched) if alive[v] and _dominators(adj, v)]
+        if not removed:
+            return CollapseTrace(phases, initial_f0, reached_core=True), snapshot
+    return CollapseTrace(phases, initial_f0, reached_core=False), snapshot
 
 
 def run_epoch1(g: AdjacencyGraph, t: int) -> CollapseTrace:
@@ -328,25 +310,23 @@ def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
     words, so such a k raises, as does k < 1.  `integers(0, 2**32,
     dtype=np.uint32)` returns the same 32-bit stream in order, a half-word the
     generator already holds first, so the rule applied here gives numpy's
-    values at one numpy call per 1024 words.  The generator ends advanced by
-    whole batches.
+    values at one numpy call per 1024 words.  `words` fetches a batch only
+    when the last is used up, so the generator ends advanced by whole batches.
     """
-    words: list[int] = []
-    at = 0
+
+    def fetch() -> list[int]:
+        return rng.integers(0, 2**32, size=_WORDS, dtype=np.uint32).tolist()
+
+    words = itertools.chain.from_iterable(iter(fetch, None))
 
     def below(k: int) -> int:
-        nonlocal words, at
         if not 1 <= k <= 2**32:
             raise ValueError(f"bound must lie in [1, 2^32], got {k}")
         if k == 1:
             return 0
         threshold = (2**32 - k) % k
-        while True:
-            if at == len(words):
-                words = rng.integers(0, 2**32, size=_WORDS, dtype=np.uint32).tolist()
-                at = 0
-            m = words[at] * k
-            at += 1
+        for w in words:
+            m = w * k
             if m & _MASK32 >= threshold:
                 return m >> 32
 
@@ -391,9 +371,8 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
     in ascending order, and logs Y_i = how many vertices the single deletion
     newly dominated.  The pool is kept sorted and updated incrementally (only
     the removed vertex's neighbors can change status), which matches a full
-    rescan-and-choose loop decision for decision.  The indices are those numpy
-    gives, drawn by `_bounded_draws`, so `rng` ends advanced in whole batches of
-    1024 32-bit words rather than by one call per step.
+    rescan-and-choose loop decision for decision.  The index is drawn by
+    `_bounded_draws`' rule, which leaves `rng` advanced in whole batches.
     """
     return _epoch2(g, rng, dominated_set(g))
 
@@ -405,7 +384,7 @@ def run_trial(
 
     Gives the same values as those three calls in turn: the scan's dominated
     set is phase 1's snapshot, and the set the phases leave is epoch 2's pool.
-    Like `run_epoch2`, it leaves `rng` advanced in whole batches of words.
+    Epoch 2 draws by `_bounded_draws`' rule, as in `run_epoch2`.
     """
     pairs, snapshot = _scan(g)
     trace, pool = _run_phases(g, t, None, snapshot)

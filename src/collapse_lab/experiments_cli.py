@@ -551,9 +551,9 @@ def _add_output(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_common(sub, *, trials: int, seed: int = 0) -> None:
+def _add_common(sub, *, trials: int) -> None:
     sub.add_argument("--trials", type=int, default=trials)
-    sub.add_argument("--seed", type=int, default=seed)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=None)
     _add_output(sub)
 

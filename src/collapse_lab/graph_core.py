@@ -262,11 +262,15 @@ def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
             # floor(log1p(-U) / log_q), computed in place on the draw buffer.
             # inf guard: a uniform draw of exactly 0 gives gap 0; draws near 1 give huge
             # but finite gaps, so positions just overshoot total_pairs and stop the scan.
+            # Capped at total_pairs, which ends the scan just the same, so that tiny p
+            # cannot push a gap past 2^63 (or, for subnormal p, to inf) before the cast.
             gaps = rng.random(want)
             np.negative(gaps, out=gaps)
             np.log1p(gaps, out=gaps)
-            gaps /= log_q
+            with np.errstate(over="ignore"):
+                gaps /= log_q
             np.floor(gaps, out=gaps)
+            np.minimum(gaps, total_pairs, out=gaps)
             positions = gaps.astype(np.int64)
             del gaps
             positions += 1

@@ -235,18 +235,16 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
         raise ValueError(f"t must be >= 1, got {t}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    iso = np.zeros(t, dtype=np.int64)
-    hist: dict[int, int] = {}
+    fates = np.empty((trials, 2), dtype=np.int64)
     for i in range(trials):
-        rng = rng_from_seed(mix_seed(seed, i))
-        step, deg = _root_fate(sample_tree(c, t, rng), t - 1)
-        iso[step:] += 1
-        hist[deg] = hist.get(deg, 0) + 1
-    kmax = max(hist)
+        fates[i] = _root_fate(sample_tree(c, t, rng_from_seed(mix_seed(seed, i))), t - 1)
+    steps, degrees = fates.T
+    # a root first isolated at round s counts for every entry from s on
+    iso = np.cumsum(np.bincount(steps, minlength=t))[:t]
     return TreeTrialStats(
         c=float(c),
         t=t,
         trials=trials,
-        isolated_by_step=tuple(int(x) for x in iso),
-        root_degree_hist=tuple(hist.get(k, 0) for k in range(kmax + 1)),
+        isolated_by_step=tuple(iso.tolist()),
+        root_degree_hist=tuple(np.bincount(degrees).tolist()),
     )

@@ -323,6 +323,14 @@ def test_phase_transition_sparse(capsys):
     assert f"p={1.5 * math.log(200) / 200!r}" in err
 
 
+def test_tiny_p_trials_run(capsys):
+    for argv in (
+        ["phase-transition", "--side", "sparse", "--p", "1e-18", "--n", "10", "--trials", "1"],
+        ["collapse", "--n", "10", "--c", "1e-17", "--t", "0", "--trials", "1"],
+    ):
+        assert run_main(argv, capsys)[0] == 0, argv
+
+
 def test_phase_transition_dense(capsys):
     code, out, err = run_main(
         ["phase-transition", "--n", "200", "--lam", "0.5", "--side", "dense",

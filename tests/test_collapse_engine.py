@@ -149,6 +149,13 @@ def test_prune_phase_star():
     assert g.is_alive(0)
 
 
+def test_prune_phase_walks_the_order_rng_permutation():
+    # every leaf of a star re-verifies, so the removals are the snapshot in permuted order
+    for seed in range(5):
+        order = rng_from_seed(seed).permutation(6)
+        assert prune_phase(star(6), order_rng=rng_from_seed(seed)).removed == (order + 1).tolist()
+
+
 def test_run_epoch1_stops_early_on_core():
     g = cycle(4)
     trace = run_epoch1(g, 3)

@@ -250,6 +250,15 @@ def test_sample_edges_is_the_sampled_graph():
         assert list(zip(us.tolist(), vs.tolist())) == list(sample_er(params).edges())
 
 
+def test_sample_edges_tiny_p_gives_no_edge_and_no_warning():
+    # gaps past 2^63 (and, for subnormal p, an infinite quotient) must not wrap in the cast
+    for p in (1e-18, 1e-300, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            us, vs = sample_edges(GraphParams(n=10, p=p, seed=1))
+        assert us.size == vs.size == 0
+
+
 def test_sample_adjacency_is_symmetric_and_sorted():
     g = sample_er(GraphParams(n=200, p=0.04, seed=31))
     for v in g.alive_ids():

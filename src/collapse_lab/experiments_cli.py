@@ -21,7 +21,7 @@ determinism guarantee.
 Parallelism (--threads, default os.cpu_count()) fans trials out to worker
 processes; each worker owns its graph and generator and results are collected
 in trial-index order, so the output is schedule independent.  The tree
-command runs in one process and ignores --threads.
+command runs in one process: it checks --threads and then ignores it.
 """
 
 from __future__ import annotations
@@ -241,6 +241,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    resolve_threads(args.threads)  # rejected below 1 as everywhere; the tree runs in one process
     table = theory.gamma_sequence(args.c, args.t)
     gamma_rows = []
     last_stats = None

@@ -16,7 +16,7 @@ Trees live in flat numpy arrays in BFS order: children of each node are
 contiguous, so the parent and n_children columns plus the layer offsets
 encode the shape with no per-node objects.  Offspring counts are Poisson
 sampled by inversion: a cached cdf table plus searchsorted, equivalent to the
-textbook sequential search but batched per layer.
+textbook sequential search but batched over the whole tree.
 
 Two layer facts answer both questions the estimator asks.  A non-root
 vertex whose descendant subtree has height m is a leaf after m rounds and is
@@ -29,8 +29,9 @@ degree is the number of distinct depth-1 ancestors of the nodes at depth
 layers; root_collapse is the literal round-by-round reference the tests hold
 it to.
 
-Reproducibility: estimate_gamma gives trial i its own generator seeded with
-mix_seed(seed, i), so any single tree can be re-drawn in isolation.
+Reproducibility: estimate_gamma gives trial i the generator
+rng_from_seed(mix_seed(seed, i)), seeded in bulk by graph_core.rngs_from_seeds,
+so any single tree can be re-drawn in isolation.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_core import AdjacencyGraph, mix_seed, rng_from_seed
+from .graph_core import AdjacencyGraph, mix_seed, rngs_from_seeds
 
 _CDF_TAIL = 1e-16
+_TREE_BATCH = 64  # first offspring batch: a mean tree at c = 1.5, depth 6 needs 32
 
 
 @lru_cache(maxsize=64)
@@ -111,30 +113,32 @@ class PoissonTree:
 
 
 def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
-    """Grow a Galton-Watson tree with Poisson(c) offspring, cut at trunc depth."""
+    """Grow a Galton-Watson tree with Poisson(c) offspring, truncated at `depth`.
+
+    Node k's count comes from the k-th double of one batch of draws, doubled
+    whenever a layer reaches past it: the tree per-layer draws give, with rng
+    left up to one batch further on.
+    """
     if c < 0:
         raise ValueError(f"offspring mean must be >= 0, got {c}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     cdf = _poisson_cdf(float(c))
-    parents = [np.array([-1], dtype=np.int64)]
+    counts: list[int] = []
     offsets = [0, 1]
-    layer_start = 0
-    layer_size = 1
+    drawn = 0  # nodes whose counts were read: every layer but a full-depth last one
     for _ in range(depth):
-        counts = _poisson_counts(cdf, rng, layer_size)
-        n_next = int(counts.sum())
+        drawn = offsets[-1]
+        while len(counts) < drawn:
+            counts += _poisson_counts(cdf, rng, max(len(counts), _TREE_BATCH)).tolist()
+        n_next = sum(counts[offsets[-2] : drawn])
         if n_next == 0:
             break
-        node_ids = np.arange(layer_start, layer_start + layer_size, dtype=np.int64)
-        parents.append(np.repeat(node_ids, counts))
-        layer_start += layer_size
-        layer_size = n_next
-        offsets.append(layer_start + layer_size)
-    parent = np.concatenate(parents)
+        offsets.append(drawn + n_next)
+    n_children = np.array(counts[:drawn] + [0] * (offsets[-1] - drawn), dtype=np.int64)
     return PoissonTree(
-        parent=parent,
-        n_children=np.bincount(parent[1:], minlength=len(parent)),
+        parent=np.concatenate(([-1], np.repeat(np.arange(drawn), n_children[:drawn]))),
+        n_children=n_children,
         layer_offsets=np.array(offsets, dtype=np.int64),
     )
 
@@ -236,8 +240,8 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     fates = np.empty((trials, 2), dtype=np.int64)
-    for i in range(trials):
-        fates[i] = _root_fate(sample_tree(c, t, rng_from_seed(mix_seed(seed, i))), t - 1)
+    for i, rng in enumerate(rngs_from_seeds(mix_seed(seed, i) for i in range(trials))):
+        fates[i] = _root_fate(sample_tree(c, t, rng), t - 1)
     steps, degrees = fates.T
     # a root first isolated at round s counts for every entry from s on
     iso = np.cumsum(np.bincount(steps, minlength=t))[:t]

@@ -554,6 +554,14 @@ def test_resolve_threads():
         resolve_threads(0)
 
 
+def test_tree_rejects_threads_below_one(capsys):
+    code, out, err = run_main(
+        ["tree", "--c", "1.5", "--t", "2", "--trials", "10", "--threads", "0"], capsys
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: thread count")
+
+
 def test_sweep_config_validation(capsys):
     for argv in (["sweep-n", "--n-grid", "100,200"], ["sweep-c", "--c-grid", "1.5,2"]):
         code, out, err = run_main(argv + ["--trials", "0"], capsys)

@@ -13,6 +13,7 @@ from collapse_lab.graph_core import (
     _pair_index_to_uv,
     mix_seed,
     rng_from_seed,
+    rngs_from_seeds,
     sample_edges,
     sample_er,
     splitmix64,
@@ -44,6 +45,21 @@ def test_rng_from_seed_reproducible():
     a = rng_from_seed(99).random(5)
     b = rng_from_seed(99).random(5)
     assert np.array_equal(a, b)
+
+
+def test_rngs_from_seeds_replay_fresh_generators():
+    # 1205 seeds: nine full chunks of states and a partial one
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds = edges + [mix_seed(31, i) for i in range(1200)]
+    count = 0
+    for k, (s, rng) in enumerate(zip(seeds, rngs_from_seeds(seeds))):
+        fresh = rng_from_seed(s)
+        assert rng.bit_generator.state == fresh.bit_generator.state, s
+        n = 1 + k % 70
+        assert np.array_equal(rng.random(n), fresh.random(n)), s
+        rng.integers(0, 10, dtype=np.uint32)  # leaves a buffered half-word behind
+        count += 1
+    assert count == len(seeds)
 
 
 # -- GraphParams ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from collapse_lab.theory import gamma_sequence
 from collapse_lab.tree_process import (
     PoissonTree,
     TreeTrialStats,
+    _TREE_BATCH,
     _isolation_step,
     _poisson_cdf,
     _poisson_counts,
@@ -30,6 +31,7 @@ from collapse_lab.tree_process import (
     root_degree_after,
     sample_tree,
 )
+from references import sample_tree_per_layer
 
 
 def path_tree() -> PoissonTree:
@@ -158,6 +160,35 @@ def test_sample_domain():
         sample_tree(709.0, 1, rng)
     with pytest.raises(ValueError):
         sample_tree(800.0, 1, rng)
+
+
+def test_batched_sampler_matches_per_layer_reference():
+    """One batched draw per tree gives the per-layer sampler's tree, dtypes included."""
+    # depths stop where a mean tree would pass about 10^5 nodes
+    top_depth = {0.0: 8, 0.5: 8, 1.5: 8, 3.0: 8, 6.0: 6, 40.0: 3}
+    many_refills = 0
+    for c, top in top_depth.items():
+        for depth in range(top + 1):
+            for k in range(12):
+                seed = mix_seed(900 + depth, k)
+                got = sample_tree(c, depth, rng_from_seed(seed))
+                want = sample_tree_per_layer(c, depth, rng_from_seed(seed))
+                for name in ("parent", "n_children", "layer_offsets"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (c, depth, k, name)
+                # nodes whose counts were read: all but a full-depth last layer
+                offs = want.layer_offsets
+                read = offs[-2] if len(offs) == depth + 2 else offs[-1]
+                many_refills += read > 4 * _TREE_BATCH  # batches of 64, 128, 256, 512 at least
+    assert many_refills >= 50
+
+
+def test_depth_zero_draws_nothing():
+    for c in (0.0, 1.5, 40.0):
+        rng = rng_from_seed(3)
+        before = rng.bit_generator.state
+        assert sample_tree(c, 0, rng).size == 1
+        assert rng.bit_generator.state == before
 
 
 # -- pruning rounds ----------------------------------------------------------------

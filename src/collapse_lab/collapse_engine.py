@@ -10,9 +10,10 @@ domination query is built on it.
 A collapse trial scans every alive vertex once.  `_scan` counts each vertex's
 dominators: the sum is the ordered dominated-pair count, and the vertices
 with a nonzero count, ascending, are phase 1's snapshot.  `run_trial` feeds
-both epochs from that one pass; `dominated_set`, `count_dominated_pairs`,
-`prune_phase`, `run_epoch1`, `run_core` and `run_epoch2` keep their full
-scans as references.
+both epochs from that one pass.  `count_dominated_pairs` and `dominated_set`
+are the scan's two halves; `prune_phase`, `run_epoch1`, `run_core` and
+`run_epoch2` each start from a scan of their own, and the tests hold
+`run_trial` to them.
 
 `scan_edges` gives what `_scan` gives from sorted numpy edge arrays, with no
 set graph; the phase-transition trials, which never delete a vertex, use it
@@ -119,21 +120,10 @@ def _dominators(adj: list[set[int]], v: int) -> list[int]:
     return found
 
 
-def _is_dominated(g: AdjacencyGraph, v: int) -> bool:
-    """Containment test against every neighbor; isolated vertices never qualify."""
-    # Direct _adj reads: hot path, every w in N(v) is alive by invariant.
-    return bool(_dominators(g._adj, v))
-
-
 def find_dominator(g: AdjacencyGraph, v: int) -> int | None:
     """Smallest-id neighbor w with N[v] subset-of N[w], or None."""
     g.neighbor_view(v)  # raises for a removed vertex
     return min(_dominators(g._adj, v), default=None)
-
-
-def dominated_set(g: AdjacencyGraph) -> list[int]:
-    """All alive dominated vertices, ascending."""
-    return [v for v in g.alive_ids() if _is_dominated(g, v)]
 
 
 def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
@@ -147,6 +137,11 @@ def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
             pairs += k
             dominated.append(v)
     return pairs, dominated
+
+
+def dominated_set(g: AdjacencyGraph) -> list[int]:
+    """All alive dominated vertices, ascending."""
+    return _scan(g)[1]
 
 
 def _key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -5,9 +5,10 @@ phase-transition, validate.  Machine output (CSV or JSON) goes to --out, or to
 stdout when --out is absent; human-readable summary lines always go to stderr
 so stdout stays parseable.  Exit codes: 0 success, 1 validation or runtime
 failure, 2 bad parameters or usage.  Every usage error, the 10^7-step
-gamma-table cap included, is raised before any graph or tree is sampled: each
-(n, c, t) point first goes through the library calls its trials would make,
-and a sweep checks every grid point before point 0 runs.
+gamma-table cap included, is raised before any graph or tree is sampled: the
+parent computes each (n, c, t) point's theory columns once and hands them to
+its trials, which make no theory call, and a sweep checks every grid point
+before point 0 runs.
 
 Reproducibility contract: trial i of a run with base seed s uses the seed
 mix_seed(s, i); sweep point j first derives point_seed = mix_seed(s, j) and
@@ -116,8 +117,11 @@ def _blank_record() -> dict:
 
 
 def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
-    """Sample one graph, run both epochs, return the record and Y histogram."""
-    n, c, t, trial_index, trial_seed = task
+    """Sample one graph, run both epochs, return the record and Y histogram.
+
+    The task ends with the point's two predictions, as `_check_point` gives them.
+    """
+    n, c, t, trial_index, trial_seed, expected_f0, predicted_core = task
     t0 = time.perf_counter()
     params = GraphParams.from_c(n=n, c=c, seed=trial_seed)
     g = sample_er(params)
@@ -137,9 +141,8 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     rec["core_f0"] = g.non_isolated_count()
     rec["epoch2_deleted"] = e2.steps
     rec["mean_Y"] = (sum(e2.y_values) / e2.steps) if e2.steps else None
-    if c > 1:
-        rec["expected_f0_after_t"] = theory.expected_f0_after_t(c, n, t)
-        rec["predicted_core_f0"] = theory.core_size_prediction(c, n)
+    rec["expected_f0_after_t"] = expected_f0
+    rec["predicted_core_f0"] = predicted_core
     rec["wall_time_ms"] = int((time.perf_counter() - t0) * 1000)
     return rec, Counter(e2.y_values)
 
@@ -191,18 +194,22 @@ def _run_tasks(worker, tasks: list, threads: int | None) -> list:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _check_point(n: int, c: float, t: int) -> None:
-    """Make the library calls a trial at (n, c, t) makes, so a bad point fails in the parent."""
+def _check_point(n: int, c: float, t: int) -> tuple[float | None, float | None]:
+    """The point's `expected_f0_after_t` and `predicted_core_f0`, both None when c <= 1.
+
+    Also checks the graph parameters, so a bad point fails in the parent.
+    """
     GraphParams.from_c(n=n, c=c, seed=0)
-    if c > 1:
-        theory.expected_f0_after_t(c, n, t)
+    if c <= 1:
+        return None, None
+    return theory.expected_f0_after_t(c, n, t), theory.core_size_prediction(c, n)
 
 
 def _collapse_trials(
-    n: int, c: float, t: int, trials: int, seed: int, threads: int | None
+    n: int, c: float, t: int, predictions: tuple, trials: int, seed: int, threads: int | None
 ) -> list:
-    """Run trial i of a point on the graph seeded mix_seed(seed, i)."""
-    tasks = [(n, c, t, i, mix_seed(seed, i)) for i in range(trials)]
+    """Trial i of a point, with its `_check_point` values, on the graph seeded mix_seed(seed, i)."""
+    tasks = [(n, c, t, i, mix_seed(seed, i), *predictions) for i in range(trials)]
     return _run_tasks(_collapse_trial, tasks, threads)
 
 
@@ -292,26 +299,25 @@ def _default_phase_budget(c: float, t: int | None) -> int:
 
 def cmd_collapse(args) -> int:
     t = _default_phase_budget(args.c, args.t)
-    _check_point(args.n, args.c, t)
-    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, args.threads)
+    predictions = _check_point(args.n, args.c, t)
+    results = _collapse_trials(args.n, args.c, t, predictions, args.trials, args.seed, args.threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
     cores = [r["core_f0"] for r in records]
     mean_core = sum(cores) / len(cores)
     _say(f"t={t} mean_core_f0={mean_core!r} mean_core_frac={mean_core / args.n!r}")
-    if args.c > 1:
-        _say(f"predicted_core_f0={theory.core_size_prediction(args.c, args.n)!r}")
+    if predictions[1] is not None:
+        _say(f"predicted_core_f0={predictions[1]!r}")
     return 0
 
 
 def _run_sweep(points: list[tuple[int, float]], args) -> int:
     points = [(n, c, _default_phase_budget(c, args.t)) for n, c in points]
-    for point in points:
-        _check_point(*point)
+    checked = [_check_point(*point) for point in points]
     out_rows = []
-    for point_index, (n, c, t) in enumerate(points):
+    for point_index, ((n, c, t), predictions) in enumerate(zip(points, checked)):
         point_seed = mix_seed(args.seed, point_index)
-        results = _collapse_trials(n, c, t, args.trials, point_seed, args.threads)
+        results = _collapse_trials(n, c, t, predictions, args.trials, point_seed, args.threads)
         cores = [rec["core_f0"] for rec, _ in results]
         mean_core = sum(cores) / len(cores)
         if len(cores) > 1:
@@ -319,7 +325,7 @@ def _run_sweep(points: list[tuple[int, float]], args) -> int:
             std_core = math.sqrt(var)
         else:
             std_core = 0.0
-        predicted = theory.core_size_prediction(c, n) if c > 1 else None
+        predicted = predictions[1]
         out_rows.append(
             {
                 "n": n,
@@ -354,7 +360,7 @@ def cmd_epoch2(args) -> int:
     cg = args.c * gs
     # phase budget chosen so the per-phase drop is under eps*(1-c*gamma)/8
     t = theory.rounds_for_epsilon(args.c, args.eps * (1.0 - cg) / 8.0)
-    _check_point(args.n, args.c, t)
+    predictions = _check_point(args.n, args.c, t)
     admissible = min(
         (1.0 - gs) * (1.0 - cg) / 12.0, (5.0 / 192.0) * (1.0 - gs) * (1.0 - cg) ** 2
     )
@@ -366,7 +372,7 @@ def cmd_epoch2(args) -> int:
             f"{admissible!r} of the deletion-budget guarantee; "
             "pass-rate predictions apply below it"
         )
-    results = _collapse_trials(args.n, args.c, t, args.trials, args.seed, args.threads)
+    results = _collapse_trials(args.n, args.c, t, predictions, args.trials, args.seed, args.threads)
     records = [rec for rec, _ in results]
     _emit_records(records, RECORD_COLUMNS, args)
     pooled = Counter()

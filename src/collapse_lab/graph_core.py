@@ -159,9 +159,6 @@ class AdjacencyGraph:
 
     # -- basic accessors ----------------------------------------------------
 
-    def is_alive(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self._alive[v])
-
     def _require_alive(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex id {v} out of range [0, {self.n})")
@@ -192,18 +189,6 @@ class AdjacencyGraph:
         """Internal neighbor set of an alive vertex; treat as read-only."""
         self._require_alive(v)
         return self._adj[v]
-
-    def is_closed_nbhd_subset(self, u: int, w: int) -> bool:
-        """Whether N[u] is contained in N[w] (both vertices alive)."""
-        self._require_alive(u)
-        self._require_alive(w)
-        if u == w:
-            return True
-        nu = self._adj[u]
-        if u not in self._adj[w]:
-            return False
-        # w in N(u) and w not in N(w): containment reduces to N(u)\{w} within N(w).
-        return len(nu & self._adj[w]) == len(nu) - 1
 
     # A removed vertex's set is empty, so these need no alive check.
     def edge_count(self) -> int:

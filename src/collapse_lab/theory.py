@@ -65,8 +65,8 @@ class RateBounds:
 
 def gamma_sequence(c: float, T: int) -> GammaTable:
     """Iterate gamma_{t+1} = exp(-c(1-gamma_t)) from gamma_0 = 0 up to gamma_T."""
-    if c <= 0:
-        raise ValueError(f"density constant must be > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"density constant must be finite and > 0, got {c}")
     if T < 1:
         raise ValueError(f"need at least one step, got T={T}")
     if T > _MAX_GAMMA_STEPS:
@@ -78,16 +78,21 @@ def gamma_sequence(c: float, T: int) -> GammaTable:
 
 
 def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
-    """Least root of exp(-c(1-x)) - x in (0, 1), for c > 1.
+    """Least root of exp(-c(1-x)) - x in (0, 1), for finite c > 1.
 
     Monotone iteration from 0 approaches the least fixed point from below
     (the map is a contraction on [0, gamma] since f' = c*f); bisection on
-    [last iterate, 1/c] then polishes to float precision.
+    [last iterate, 1/c] then narrows it to an absolute width of tol/16.  The
+    error is absolute, not relative: at c = 30 the result is 1.24e-13 against
+    a true 9.4e-14.  Once exp(-c) underflows (c above about 745) gamma is
+    below the least double and 0.0 is returned.
     """
-    if c <= 1:
-        raise ValueError(f"fixed point requires c > 1, got c={c}")
+    if not 1 < c < math.inf:
+        raise ValueError(f"fixed point requires finite c > 1, got c={c}")
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
+    if math.exp(-c) == 0.0:
+        return 0.0
     x = 0.0
     for _ in range(1000):
         nxt = math.exp(-c * (1.0 - x))

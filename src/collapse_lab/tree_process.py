@@ -26,8 +26,7 @@ layer, so the root is first isolated at round len(layer_offsets) - 2, its
 number of layers below (0 for a bare root), and after s rounds the root's
 degree is the number of distinct depth-1 ancestors of the nodes at depth
 1 + s (0 when that layer does not exist).  _root_fate reads both off the
-layers; root_collapse is the literal round-by-round reference the tests hold
-it to.
+layers; the tests hold it to a literal round-by-round simulation.
 
 Reproducibility: estimate_gamma gives trial i the generator
 rng_from_seed(mix_seed(seed, i)), seeded in bulk by graph_core.rngs_from_seeds,
@@ -43,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_core import AdjacencyGraph, mix_seed, rngs_from_seeds
+from .graph_core import mix_seed, rngs_from_seeds
 
 _CDF_TAIL = 1e-16
 _TREE_BATCH = 64  # first offspring batch: a mean tree at c = 1.5, depth 6 needs 32
@@ -52,7 +51,7 @@ _TREE_BATCH = 64  # first offspring batch: a mean tree at c = 1.5, depth 6 needs
 @lru_cache(maxsize=64)
 def _poisson_cdf(lam: float) -> np.ndarray:
     """Cumulative Poisson(lam) table, until the tail is < 1e-16 or the double sum stops moving."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"rate must be >= 0, got {lam}")
     term = math.exp(-lam)
     if term < sys.float_info.min:
@@ -106,11 +105,6 @@ class PoissonTree:
     def root_degree(self) -> int:
         return int(self.n_children[0])
 
-    def to_graph(self) -> AdjacencyGraph:
-        """The same tree as an adjacency graph on vertex ids 0..size-1."""
-        edges = [(int(self.parent[v]), v) for v in range(1, self.size)]
-        return AdjacencyGraph.from_edges(self.size, edges)
-
 
 def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
     """Grow a Galton-Watson tree with Poisson(c) offspring, truncated at `depth`.
@@ -146,33 +140,6 @@ def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
 # -- pruning -----------------------------------------------------------------
 
 
-def root_collapse(tree: PoissonTree, max_steps: int) -> int | None:
-    """Prune rounds until the root is isolated; None if max_steps is not enough.
-
-    Each round simultaneously removes every non-root vertex with tree degree 1
-    and returns the first round index after which the root has degree 0 (0 for
-    a bare root).  Literal simulation; _root_fate uses the layer rule and
-    the tests hold the two equal.
-    """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    alive = np.ones(tree.size, dtype=bool)
-    kids = tree.n_children.copy()
-    if kids[0] == 0:
-        return 0
-    for step in range(1, max_steps + 1):
-        removable = alive & (kids == 0)
-        removable[0] = False
-        if not removable.any():
-            break
-        alive[removable] = False
-        dec = np.bincount(tree.parent[removable], minlength=tree.size)
-        kids -= dec
-        if kids[0] == 0:
-            return step
-    return None
-
-
 def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
     """(round the root is first isolated, root degree after `steps` rounds)."""
     offsets = tree.layer_offsets
@@ -186,17 +153,6 @@ def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
     for _ in range(steps):
         ancestors = tree.parent[ancestors]
     return height, 1 + int(np.count_nonzero(ancestors[1:] != ancestors[:-1]))
-
-
-def _isolation_step(tree: PoissonTree) -> int:
-    return _root_fate(tree, 0)[0]
-
-
-def root_degree_after(tree: PoissonTree, steps: int) -> int:
-    """Root degree once `steps` pruning rounds have run."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return _root_fate(tree, steps)[1]
 
 
 # -- Monte-Carlo gamma estimation ---------------------------------------------

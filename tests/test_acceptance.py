@@ -43,9 +43,8 @@ from collapse_lab.collapse_engine import (
     dominated_set,
     find_dominator,
     run_core,
-    _is_dominated,
 )
-from collapse_lab.experiments_cli import _collapse_trial
+from collapse_lab.experiments_cli import _check_point, _collapse_trial
 from collapse_lab.graph_core import GraphParams, mix_seed, rng_from_seed, sample_er
 from collapse_lab.simplicial_oracle import euler_characteristic, is_dominated_via_link
 from collapse_lab.theory import (
@@ -71,7 +70,8 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def _trial_records(n: int, t: int, trials: int, base_seed: int = 0, c: float = C):
     return [
-        _collapse_trial((n, c, t, i, mix_seed(base_seed, i))) for i in range(trials)
+        _collapse_trial((n, c, t, i, mix_seed(base_seed, i), *_check_point(n, c, t)))
+        for i in range(trials)
     ]
 
 
@@ -124,7 +124,7 @@ def test_a4_core_deviation_shrinks_with_n():
     for j, n in enumerate((10**3, 10**4, 10**5)):
         point_seed = mix_seed(0, j)
         recs = [
-            _collapse_trial((n, C, t, i, mix_seed(point_seed, i)))[0]
+            _collapse_trial((n, C, t, i, mix_seed(point_seed, i), *_check_point(n, C, t)))[0]
             for i in range(trials)
         ]
         mean_frac = sum(r["core_f0"] for r in recs) / trials / n
@@ -147,7 +147,7 @@ def test_a5_core_size_across_c():
         point_seed = mix_seed(0, j)
         t = rounds_for_epsilon(c, 0.01)
         recs = [
-            _collapse_trial((n, c, t, i, mix_seed(point_seed, i)))[0]
+            _collapse_trial((n, c, t, i, mix_seed(point_seed, i), *_check_point(n, c, t)))[0]
             for i in range(trials)
         ]
         mean_frac = sum(r["core_f0"] for r in recs) / trials / n
@@ -322,7 +322,7 @@ def test_a10_structural_oracles():
             if not snapshot:
                 break
             for v in snapshot:
-                if _is_dominated(g, v):
+                if find_dominator(g, v) is not None:
                     chi = euler_characteristic(g)
                     g.remove_vertex(v)
                     if euler_characteristic(g) != chi:

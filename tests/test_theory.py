@@ -81,6 +81,16 @@ def test_fixed_point_domain():
         gamma_fixed_point(0.7)
     with pytest.raises(ValueError):
         gamma_fixed_point(2.0, tol=0.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gamma_fixed_point(c)
+
+
+def test_fixed_point_where_exp_underflows():
+    # gamma < exp(-c), which is 0.0 past c ~ 745: the core is the whole graph
+    assert gamma_fixed_point(746.0) == 0.0
+    assert core_size_prediction(1e12, 10_000) == 10_000.0
+    assert core_size_prediction(1e15, 10_000) == 10_000.0
 
 
 def test_gamma_sequence_frozen():
@@ -110,6 +120,9 @@ def test_gamma_sequence_domain():
         gamma_sequence(0.0, 5)
     with pytest.raises(ValueError):
         gamma_sequence(-1.0, 5)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gamma_sequence(c, 5)
     with pytest.raises(ValueError):
         gamma_sequence(1.5, 0)
     with pytest.raises(ValueError):

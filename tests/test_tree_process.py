@@ -23,15 +23,18 @@ from collapse_lab.tree_process import (
     PoissonTree,
     TreeTrialStats,
     _TREE_BATCH,
-    _isolation_step,
     _poisson_cdf,
     _poisson_counts,
     estimate_gamma,
-    root_collapse,
-    root_degree_after,
     sample_tree,
 )
-from references import sample_tree_per_layer
+from references import (
+    _isolation_step,
+    root_collapse,
+    root_degree_after,
+    sample_tree_per_layer,
+    to_graph,
+)
 
 
 def path_tree() -> PoissonTree:
@@ -146,7 +149,7 @@ def test_mean_size_matches_branching_sum():
 
 
 def test_to_graph_path():
-    g = path_tree().to_graph()
+    g = to_graph(path_tree())
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
 
 
@@ -160,6 +163,8 @@ def test_sample_domain():
         sample_tree(709.0, 1, rng)
     with pytest.raises(ValueError):
         sample_tree(800.0, 1, rng)
+    with pytest.raises(ValueError):
+        sample_tree(math.nan, 1, rng)
 
 
 def test_batched_sampler_matches_per_layer_reference():
@@ -223,7 +228,7 @@ def test_root_degree_after_hand_built():
 
 def reference_degree_schedule(tree: PoissonTree, rounds: int) -> list[int]:
     """Root degree after each round, by literal simultaneous leaf removal."""
-    g = tree.to_graph()
+    g = to_graph(tree)
     out = []
     for _ in range(rounds):
         removable = [v for v in g.alive_ids() if v != 0 and g.degree(v) == 1]
@@ -255,7 +260,7 @@ def test_dominated_set_on_tree_graphs_is_leaf_set():
     """In a tree the dominated vertices are exactly the degree-1 vertices."""
     for k in range(100):
         tree = sample_tree(1.5, 1 + k % 5, rng_from_seed(mix_seed(800, k)))
-        g = tree.to_graph()
+        g = to_graph(tree)
         leaves = [v for v in g.alive_ids() if g.degree(v) == 1]
         assert dominated_set(g) == leaves
         if tree.size > 1:

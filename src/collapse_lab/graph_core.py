@@ -134,12 +134,13 @@ class AdjacencyGraph:
     """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
 
     Neighbor sets hold alive vertices only and stay symmetric under every
-    operation.  The public `neighbors` accessor returns a sorted list;
+    operation; a removed vertex's set is empty.  `alive_count` counts the
+    alive flags.  The public `neighbors` accessor returns a sorted list;
     `neighbor_view` exposes the internal set for read-only use on hot paths
     (do not mutate it).
     """
 
-    __slots__ = ("n", "_alive", "_adj", "_alive_count", "_non_isolated")
+    __slots__ = ("n", "_alive", "_adj", "_non_isolated")
 
     def __init__(self, n: int):
         if n < 0:
@@ -147,7 +148,6 @@ class AdjacencyGraph:
         self.n = n
         self._alive = bytearray([1]) * n
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._alive_count = n
         self._non_isolated = 0
 
     @classmethod
@@ -171,7 +171,7 @@ class AdjacencyGraph:
         return (v for v in range(self.n) if alive[v])
 
     def alive_count(self) -> int:
-        return self._alive_count
+        return self._alive.count(1)
 
     def non_isolated_count(self) -> int:
         """Alive vertices with at least one neighbor."""
@@ -200,10 +200,9 @@ class AdjacencyGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Alive edges (u, v) with u < v, in ascending order."""
         for u in range(self.n):
-            if self._alive[u]:
-                for v in sorted(self._adj[u]):
-                    if v > u:
-                        yield (u, v)
+            for v in sorted(self._adj[u]):
+                if v > u:
+                    yield (u, v)
 
     # -- mutation -----------------------------------------------------------
 
@@ -235,14 +234,12 @@ class AdjacencyGraph:
                 self._non_isolated -= 1
         nv.clear()
         self._alive[v] = 0
-        self._alive_count -= 1
 
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph.__new__(AdjacencyGraph)
         g.n = self.n
         g._alive = bytearray(self._alive)
         g._adj = [set(s) for s in self._adj]
-        g._alive_count = self._alive_count
         g._non_isolated = self._non_isolated
         return g
 

@@ -479,6 +479,15 @@ def test_validate_passes_and_is_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_validate_runs_without_mpmath(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # import mpmath now raises
+    ok, detail = cli._check_rate_sandwich()
+    assert ok, detail
+    code, out, _ = run_main(["validate"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "5/5 checks passed"
+
+
 def test_validate_catches_broken_oracle(monkeypatch, capsys):
     """Mutation probe: cripple the link oracle and the suite must go red."""
     monkeypatch.setattr(
@@ -571,12 +580,64 @@ def test_refusals_come_before_any_trial(monkeypatch, capsys):
         assert out == "" and err.startswith("error: "), argv
 
 
+def test_unwritable_out_is_refused_before_any_trial(monkeypatch, capsys, tmp_path):
+    def no_trials(worker, tasks, threads):
+        raise AssertionError("a trial ran before the refusal")
+
+    monkeypatch.setattr(cli, "_run_tasks", no_trials)
+    common = ["collapse", "--n", "200000", "--c", "1.5", "--t", "2", "--trials", "2"]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+    for out in ("/nonexistent/dir/x.csv", str(tmp_path), str(plain / "x.csv"), ""):
+        code, _, err = run_main(common + ["--threads", "1", "--out", out], capsys)
+        assert code == 1, out
+        assert err.startswith(f"error: cannot write {out}"), out
+    # a usage error after the check leaves no file behind
+    fresh = tmp_path / "fresh.csv"
+    code, _, _ = run_main(["collapse", "--c", "1.0000001", "--out", str(fresh)], capsys)
+    assert code == 2
+    assert not fresh.exists()
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    asked = []
+
+    class InlinePool:  # records the pool size and maps in this process: no process starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    tasks = list(range(-50, 50))
+    assert cli._run_tasks(abs, tasks, 4096) == [abs(x) for x in tasks]
+    assert cli._run_tasks(abs, tasks, 2) == [abs(x) for x in tasks]
+    assert resolve_threads(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    cli._run_tasks(abs, tasks, 4096)
+    assert resolve_threads(None) == 5
+    assert asked == [3, 2, 5]
+    assert resolve_threads(4096) == 4096  # the flag itself is kept; only the pool is capped
+
+
 def test_cli_import_leaves_mpmath_unloaded():
-    probe = "import sys, collapse_lab.experiments_cli; print('mpmath' in sys.modules)"
+    probe = (
+        "import sys, collapse_lab.experiments_cli;"
+        " print('mpmath' in sys.modules, 'decimal' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_resolve_threads():

@@ -33,14 +33,15 @@ type), so re-verification is what keeps every single removal elementary.
 Ties among mutually dominated vertices therefore resolve by ascending id.
 
 The loop carries f0 and the snapshot from phase to phase.  The next snapshot
-re-checks only the vertices a phase touched, i.e. the neighbors of its
+re-checks only the vertices a phase touched, i.e. the alive neighbors of its
 removals (taken just before each removal).  By the locality fact below, a
 vertex outside that set kept its status through the phase; a snapshot member
 that failed re-verification lost its status to a removed neighbor, so it is
 touched.  The re-checked set is therefore exactly the dominated set after the
 phase: the next phase's snapshot, or, once the budget is spent, epoch 2's
 starting pool.  It is phase 1's snapshot when the budget is 0, and empty once
-a phase removes nothing.
+a phase removes nothing.  f0 drops by the removals, each dominated and so not
+isolated, and by the touched vertices left isolated: only a removal isolates.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
@@ -65,6 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph_core import AdjacencyGraph
+
+_VERIFY_BLOCK = 2**20  # lookups per `scan_edges` verification block, about 50 MB at peak
 
 
 # -- trace records ----------------------------------------------------------
@@ -202,14 +205,19 @@ def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
     v, w = multi[rank[keep]], w[keep]
     del rank, keep
 
-    # Verification: every neighbor y != w of v is adjacent to w.
-    lens = deg[v]
-    owner = np.repeat(np.arange(len(v)), lens)
-    shift = start[v] - np.cumsum(lens) + lens
-    y = dst[np.arange(len(owner)) + shift[owner]]
-    wy = w[owner]
-    missed = ~_in_sorted(keys, _key(y, wy, n)) & (y != wy)
-    ok = np.bincount(owner[missed], minlength=len(v)) == 0
+    # Verification: every neighbor y != w of v is adjacent to w.  K_n needs n^3
+    # lookups: pairs go in blocks of _VERIFY_BLOCK, or alone if they need more.
+    ends = np.concatenate(([0], np.cumsum(deg[v])))
+    ok = np.empty(len(v), dtype=bool)
+    lo = 0
+    while lo < len(v):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _VERIFY_BLOCK, "right")) - 1)
+        owner = np.repeat(np.arange(hi - lo), deg[v[lo:hi]])
+        y = dst[np.arange(ends[lo], ends[hi]) + (start[v[lo:hi]] - ends[lo:hi])[owner]]
+        wy = w[lo:hi][owner]
+        missed = ~_in_sorted(keys, _key(y, wy, n)) & (y != wy)
+        ok[lo:hi] = np.bincount(owner[missed], minlength=hi - lo) == 0
+        lo = hi
     return len(leaves) + int(ok.sum()), np.union1d(leaves, v[ok]).tolist()
 
 
@@ -242,9 +250,9 @@ def _run_phases(
     its snapshot in ascending order, or in an `order_rng` permutation drawn
     anew each phase (the core-uniqueness checks use it, the experiments do
     not), and removes each member that `_dominators` re-verifies against the
-    current graph.  The neighbors of its removals, taken just before each one,
-    re-checked, are the next snapshot.  Also returns the dominated set the
-    phases leave, in the same form.
+    current graph.  The alive neighbors of its removals, taken just before
+    each one, re-checked, are the next snapshot.  Also returns the dominated
+    set the phases leave, in the same form.
     """
     if t is not None and t < 0:
         raise ValueError(f"phase count must be >= 0, got {t}")
@@ -259,14 +267,16 @@ def _run_phases(
         for v in snapshot:
             if _dominators(adj, v):
                 touched |= adj[v]
+                touched.discard(v)
                 g.remove_vertex(v)
                 removed.append(v)
-        f0_before, f0 = f0, g.non_isolated_count()
-        phases.append(PhaseReport(i, removed, f0, f0_before - len(removed) - f0))
-        snapshot = [v for v in sorted(touched) if _dominators(adj, v)]  # a removed v has none
+        isolated = sum(1 for u in touched if not adj[u])
+        f0 -= len(removed) + isolated
+        phases.append(PhaseReport(i, removed, f0, isolated))
+        snapshot = [v for v in sorted(touched) if _dominators(adj, v)]
         if not removed:
-            return CollapseTrace(phases, initial_f0, reached_core=True), snapshot
-    return CollapseTrace(phases, initial_f0, reached_core=False), snapshot
+            break
+    return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
 
 
 def run_epoch1(g: AdjacencyGraph, t: int) -> CollapseTrace:

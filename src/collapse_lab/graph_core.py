@@ -133,14 +133,15 @@ class GraphParams:
 class AdjacencyGraph:
     """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
 
-    Neighbor sets hold alive vertices only and stay symmetric under every
-    operation; a removed vertex's set is empty.  `alive_count` counts the
-    alive flags.  The public `neighbors` accessor returns a sorted list;
-    `neighbor_view` exposes the internal set for read-only use on hot paths
-    (do not mutate it).
+    The sets and the flags are all it holds: no count is cached.  Neighbor
+    sets hold alive vertices only and stay symmetric under every operation; a
+    removed vertex's set is empty, so `non_isolated_count` counts the
+    non-empty sets.  `alive_count` counts the alive flags.  The public
+    `neighbors` accessor returns a sorted list; `neighbor_view` exposes the
+    internal set for read-only use on hot paths (do not mutate it).
     """
 
-    __slots__ = ("n", "_alive", "_adj", "_non_isolated")
+    __slots__ = ("n", "_alive", "_adj")
 
     def __init__(self, n: int):
         if n < 0:
@@ -148,7 +149,6 @@ class AdjacencyGraph:
         self.n = n
         self._alive = bytearray([1]) * n
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._non_isolated = 0
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyGraph":
@@ -173,10 +173,6 @@ class AdjacencyGraph:
     def alive_count(self) -> int:
         return self._alive.count(1)
 
-    def non_isolated_count(self) -> int:
-        """Alive vertices with at least one neighbor."""
-        return self._non_isolated
-
     def degree(self, v: int) -> int:
         self._require_alive(v)
         return len(self._adj[v])
@@ -191,6 +187,10 @@ class AdjacencyGraph:
         return self._adj[v]
 
     # A removed vertex's set is empty, so these need no alive check.
+    def non_isolated_count(self) -> int:
+        """Alive vertices with at least one neighbor."""
+        return sum(map(bool, self._adj))
+
     def edge_count(self) -> int:
         return sum(map(len, self._adj)) // 2
 
@@ -211,28 +211,16 @@ class AdjacencyGraph:
         self._require_alive(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u} rejected")
-        au, av = self._adj[u], self._adj[v]
-        if v in au:
-            return
-        if not au:
-            self._non_isolated += 1
-        if not av:
-            self._non_isolated += 1
-        au.add(v)
-        av.add(u)
+        self._adj[u].add(v)
+        self._adj[v].add(u)
 
     def remove_vertex(self, v: int) -> None:
         """Tombstone v and strip it from all neighbor sets."""
         self._require_alive(v)
-        nv = self._adj[v]
-        if nv:
-            self._non_isolated -= 1
-        for u in nv:
-            au = self._adj[u]
-            au.discard(v)
-            if not au:
-                self._non_isolated -= 1
-        nv.clear()
+        adj = self._adj
+        for u in adj[v]:
+            adj[u].discard(v)
+        adj[v].clear()
         self._alive[v] = 0
 
     def copy(self) -> "AdjacencyGraph":
@@ -240,7 +228,6 @@ class AdjacencyGraph:
         g.n = self.n
         g._alive = bytearray(self._alive)
         g._adj = [set(s) for s in self._adj]
-        g._non_isolated = self._non_isolated
         return g
 
 
@@ -325,5 +312,4 @@ def sample_er(params: GraphParams) -> AdjacencyGraph:
     for u, v in zip(us.tolist(), vs.tolist()):
         adj[u].add(v)
         adj[v].add(u)
-    g._non_isolated = sum(1 for s in adj if s)
     return g

@@ -39,7 +39,6 @@ _MAX_GAMMA_STEPS = 10**7
 class GammaTable:
     """gamma_0..gamma_T for one density constant c."""
 
-    c: float
     gammas: tuple[float, ...]
 
     def beta_of(self, t: int) -> float:
@@ -74,7 +73,7 @@ def gamma_sequence(c: float, T: int) -> GammaTable:
     gs = [0.0]
     for _ in range(T):
         gs.append(math.exp(-c * (1.0 - gs[-1])))
-    return GammaTable(c=c, gammas=tuple(gs))
+    return GammaTable(tuple(gs))
 
 
 def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:

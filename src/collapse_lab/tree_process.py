@@ -162,7 +162,6 @@ def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
 class TreeTrialStats:
     """Aggregates over many depth-t trees pruned for t-1 rounds."""
 
-    c: float
     t: int
     trials: int
     isolated_by_step: tuple[int, ...]
@@ -202,7 +201,6 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
     # a root first isolated at round s counts for every entry from s on
     iso = np.cumsum(np.bincount(steps, minlength=t))[:t]
     return TreeTrialStats(
-        c=float(c),
         t=t,
         trials=trials,
         isolated_by_step=tuple(iso.tolist()),

@@ -9,6 +9,7 @@ it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 
 import hashlib
 import json
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -459,6 +460,28 @@ def test_scan_edges_takes_either_orientation():
     assert scan_edges(40, np.where(flip, vs, us), np.where(flip, us, vs)) == _scan(g)
 
 
+def test_scan_edges_in_small_blocks_matches_scan(monkeypatch):
+    # blocks of 5 entries hold several pairs at low degree and one pair each on K_60
+    monkeypatch.setattr("collapse_lab.collapse_engine._VERIFY_BLOCK", 5)
+    for k, p in enumerate((0.05, 0.2, 0.5, 0.9, 1.0)):
+        for n in (2, 9, 30, 60):
+            params = GraphParams(n=n, p=p, seed=mix_seed(233, 10 * n + k))
+            assert scan_edges(n, *sample_edges(params)) == _scan(sample_er(params)), (n, p)
+
+
+def test_scan_edges_memory_on_a_complete_graph():
+    # verification looks up n^3 entries on K_n: 3.3 million on K_150, some 160 MB at once
+    us, vs = sample_edges(GraphParams(n=150, p=1.0, seed=0))
+    tracemalloc.start()
+    try:
+        result = scan_edges(150, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (150 * 149, list(range(150)))
+    assert peak <= 64 * 2**20
+
+
 def test_phases_hand_over_the_dominated_set():
     for k in range(20):
         g = sample_er(GraphParams(n=60, p=(0.02, 0.05, 0.1)[k % 3], seed=mix_seed(188, k)))
@@ -591,6 +614,49 @@ def test_f0_after_tracks_live_count_during_phases():
     assert trace.phases[-1].f0_after == g.non_isolated_count()
     f0s = [trace.initial_f0] + [ph.f0_after for ph in trace.phases]
     assert f0s == sorted(f0s, reverse=True)
+
+
+def prune_to_core_against_recount(g):
+    """prune_phase until one removes nothing, each report held to a literal recount."""
+
+    def isolated():
+        return sum(1 for v in g.alive_ids() if g.degree(v) == 0)
+
+    while True:
+        before = isolated()
+        report = prune_phase(g)
+        assert report.f0_after == sum(1 for v in g.alive_ids() if g.degree(v) > 0)
+        assert report.isolated_created == isolated() - before
+        if not report.removed:
+            return
+
+
+def test_f0_after_is_a_recount_at_every_phase():
+    for k in range(20):
+        p = (0.02, 0.05, 0.1)[k % 3]
+        prune_to_core_against_recount(sample_er(GraphParams(n=80, p=p, seed=mix_seed(244, k))))
+    for g in (triangle(), star(6), cycle(4), complete(5)):
+        prune_to_core_against_recount(g)
+
+
+@settings(deadline=None)
+@given(small_edge_lists)
+@example((3, [(0, 1), (1, 2), (0, 2)]))  # 1 is touched by 0's removal, then removed itself
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]))  # twins 0 and 1
+def test_f0_after_is_a_recount_on_small_graphs(case):
+    n, edges = case
+    prune_to_core_against_recount(graph(n, [(u, v) for u, v in edges if u != v]))
+
+
+def test_run_epoch1_counts_f0_once(monkeypatch):
+    g = sample_er(GraphParams.from_c(n=300, c=1.5, seed=mix_seed(211, 0)))
+    calls = []
+    count = AdjacencyGraph.non_isolated_count
+    monkeypatch.setattr(
+        AdjacencyGraph, "non_isolated_count", lambda self: calls.append(1) or count(self)
+    )
+    assert len(run_epoch1(g, 11).phases) > 1
+    assert len(calls) == 1
 
 
 # -- pair statistics --------------------------------------------------------------

@@ -122,6 +122,13 @@ def test_self_loop_rejected():
         g.add_edge(1, 1)
 
 
+def test_repeated_edges_count_once():
+    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
+    assert g.edge_count() == 1
+    assert g.non_isolated_count() == 2
+    assert g.degree(0) == g.degree(1) == 1
+
+
 def test_dead_vertex_access_raises():
     g = triangle()
     g.remove_vertex(1)

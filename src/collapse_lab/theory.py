@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 _DEFAULT_TOL = 1e-12
+_FLOAT_FIXED_POINT = 1e-6  # c*gamma at or below which gamma_fixed_point iterates to the float fixed point
 # 10^7 Python floats take about 0.3 GB; c just above 1 asks for far longer
 # tables (t = 205 363 150 at c = 1 + 1e-7), which every trial would build
 _MAX_GAMMA_STEPS = 10**7
@@ -81,10 +82,13 @@ def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
 
     Monotone iteration from 0 approaches the least fixed point from below
     (the map is a contraction on [0, gamma] since f' = c*f); bisection on
-    [last iterate, 1/c] then narrows it to an absolute width of tol/16.  The
-    error is absolute, not relative: at c = 30 the result is 1.24e-13 against
-    a true 9.4e-14.  Once exp(-c) underflows (c above about 745) gamma is
-    below the least double and 0.0 is returned.
+    [last iterate, 1/c] then narrows it to an absolute width of tol/16.  Where
+    c*gamma <= 1e-6 (c above about 16.6) an absolute width would swamp gamma,
+    which is near exp(-c), so there the iteration runs on to its float fixed
+    point instead: its contraction factor c*gamma is so small that this is
+    gamma to a few ulps (relative error below 1e-15 at c = 20..700).  Once
+    exp(-c) underflows (c above about 745) gamma is below the least double
+    and 0.0 is returned.
     """
     if not 1 < c < math.inf:
         raise ValueError(f"fixed point requires finite c > 1, got c={c}")
@@ -92,24 +96,25 @@ def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     if math.exp(-c) == 0.0:
         return 0.0
-    x = 0.0
+    gamma = 0.0
     for _ in range(1000):
-        nxt = math.exp(-c * (1.0 - x))
-        if nxt - x <= tol / 4:
-            x = nxt
+        nxt = math.exp(-c * (1.0 - gamma))
+        done = nxt == gamma if c * nxt <= _FLOAT_FIXED_POINT else nxt - gamma <= tol / 4
+        gamma = nxt
+        if done:
             break
-        x = nxt
-    lo, hi = x, 1.0 / c
-    # invariant: g(lo) >= 0 > g(hi), where g(x) = exp(-c(1-x)) - x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(-c * (1.0 - mid)) - mid >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol / 16:
-            break
-    gamma = 0.5 * (lo + hi)
+    if c * gamma > _FLOAT_FIXED_POINT:
+        lo, hi = gamma, 1.0 / c
+        # invariant: g(lo) >= 0 > g(hi), where g(x) = exp(-c(1-x)) - x
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if math.exp(-c * (1.0 - mid)) - mid >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol / 16:
+                break
+        gamma = 0.5 * (lo + hi)
     residual = abs(math.exp(-c * (1.0 - gamma)) - gamma)
     if not (c * gamma < 1.0):
         raise AssertionError(f"contraction bound violated: c*gamma = {c * gamma}")

@@ -12,25 +12,33 @@ generation t + 1 exactly when each of the root's Poisson(c) children starts
 a subtree extinct by generation t, which is the recursion
 gamma_{t+1} = exp(-c(1 - gamma_t)).
 
-Trees live in flat numpy arrays in BFS order: children of each node are
-contiguous, so the parent and n_children columns plus the layer offsets
-encode the shape with no per-node objects.  Offspring counts are Poisson
-sampled by inversion: a cached cdf table plus searchsorted, equivalent to the
-textbook sequential search but batched over the whole tree.
+A tree is numbered in BFS order, children of each node contiguous and in
+the order of their parents.  Node k's offspring count is the cdf inversion
+(a cached Poisson table plus searchsorted) of the k-th double of the tree's
+own stream, so a depth-t tree is a pure function of a prefix of that stream.
+With P the prefix sums of the counts (P[0] = 0), every node after the root
+is some node's child, so the layer ends are o_1 = 1 and o_{d+1} = 1 + P[o_d]:
+layer d holds the nodes o_d .. o_{d+1} - 1, and the counts read are those of
+the nodes before o_t.
 
 Two layer facts answer both questions the estimator asks.  A non-root
 vertex whose descendant subtree has height m is a leaf after m rounds and is
 removed in round m + 1, so a child of the root survives s rounds exactly
-when it has a descendant at depth 1 + s.  sample_tree never keeps an empty
-layer, so the root is first isolated at round len(layer_offsets) - 2, its
-number of layers below (0 for a bare root), and after s rounds the root's
-degree is the number of distinct depth-1 ancestors of the nodes at depth
-1 + s (0 when that layer does not exist).  _root_fate reads both off the
-layers; the tests hold it to a literal round-by-round simulation.
+when it has a descendant at depth 1 + s.  Hence the root is first isolated
+at round h, its height: the number of d <= t with a non-empty layer d.  The
+descendants of the nodes a .. b - 1 are the nodes 1 + P[a] .. P[b], so
+mapping the root's child boundaries 1 .. deg + 1 forward s times by
+b -> 1 + P[b] gives each child's descendants at depth 1 + s, and the root's
+degree after s rounds is the number of strict rises among them (0 when
+h <= s).  The tests hold this rule to a literal round-by-round simulation.
 
 Reproducibility: estimate_gamma gives trial i the generator
 rng_from_seed(mix_seed(seed, i)), seeded in bulk by graph_core.rngs_from_seeds,
-so any single tree can be re-drawn in isolation.
+so any single tree can be re-drawn in isolation.  It draws a block of trees
+at once, one row of doubles per tree, and applies the layer rule to the
+whole block as array operations.  A row too short for its tree (o_t past the
+row's end) is drawn again from its seed with twice the width, until every
+tree fits.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ import numpy as np
 from .graph_core import mix_seed, rngs_from_seeds
 
 _CDF_TAIL = 1e-16
-_TREE_BATCH = 64  # first offspring batch: a mean tree at c = 1.5, depth 6 needs 32
+_FIRST_WIDTH = 64  # doubles per tree in the first pass: a mean tree at c = 1.5, t = 6 reads 21
+_BLOCK_DOUBLES = 2**13  # doubles in one block of rows: 64 KB
 
 
 @lru_cache(maxsize=64)
@@ -77,82 +86,34 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return out
 
 
-def _poisson_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    # inversion: count = #{k : cdf[k] <= u} = searchsorted right
-    return np.searchsorted(cdf, rng.random(size), side="right")
+def _block_fates(cdf: np.ndarray, t: int, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(height, root degree after t-1 rounds, fits) of the tree each row of u draws.
 
-
-@dataclass(frozen=True)
-class PoissonTree:
-    """Depth-truncated offspring tree in BFS layout.
-
-    parent[0] is -1.  Each node's children are contiguous and appear in the
-    order of their parents, so parent[1:] is np.repeat(arange(size),
-    n_children) and the root's children are nodes 1..root_degree().
-    layer_offsets has one entry per depth plus a terminal size entry, so the
-    nodes at depth d occupy indices layer_offsets[d]:layer_offsets[d+1], and
-    no layer is empty: the offsets rise strictly.
+    `fits` is False where the row holds fewer than o_t doubles; that row's
+    other two entries are meaningless.
     """
+    rows, width = u.shape
+    prefix = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(np.searchsorted(cdf, u, side="right"), axis=1, out=prefix[:, 1:])
+    flat = prefix.ravel()
+    base = np.arange(0, rows * (width + 1), width + 1)[:, None]
 
-    parent: np.ndarray
-    n_children: np.ndarray
-    layer_offsets: np.ndarray
+    def forward(b: np.ndarray) -> np.ndarray:
+        # b -> 1 + P[b] along each row, read at most at the row's end
+        return 1 + flat[np.minimum(b, width) + base]
 
-    @property
-    def size(self) -> int:
-        return len(self.parent)
-
-    def root_degree(self) -> int:
-        return int(self.n_children[0])
-
-
-def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
-    """Grow a Galton-Watson tree with Poisson(c) offspring, truncated at `depth`.
-
-    Node k's count comes from the k-th double of one batch of draws, doubled
-    whenever a layer reaches past it: the tree per-layer draws give, with rng
-    left up to one batch further on.
-    """
-    if c < 0:
-        raise ValueError(f"offspring mean must be >= 0, got {c}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    cdf = _poisson_cdf(float(c))
-    counts: list[int] = []
-    offsets = [0, 1]
-    drawn = 0  # nodes whose counts were read: every layer but a full-depth last one
-    for _ in range(depth):
-        drawn = offsets[-1]
-        while len(counts) < drawn:
-            counts += _poisson_counts(cdf, rng, max(len(counts), _TREE_BATCH)).tolist()
-        n_next = sum(counts[offsets[-2] : drawn])
-        if n_next == 0:
-            break
-        offsets.append(drawn + n_next)
-    n_children = np.array(counts[:drawn] + [0] * (offsets[-1] - drawn), dtype=np.int64)
-    return PoissonTree(
-        parent=np.concatenate(([-1], np.repeat(np.arange(drawn), n_children[:drawn]))),
-        n_children=n_children,
-        layer_offsets=np.array(offsets, dtype=np.int64),
-    )
-
-
-# -- pruning -----------------------------------------------------------------
-
-
-def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
-    """(round the root is first isolated, root degree after `steps` rounds)."""
-    offsets = tree.layer_offsets
-    # no layer is empty, so the root's height is its number of layers below
-    height = len(offsets) - 2
-    if steps >= height:
-        return height, 0
-    # the children that survive `steps` rounds are the depth-1 ancestors of
-    # the nodes at depth 1 + steps; BFS order keeps the ancestors sorted
-    ancestors = np.arange(offsets[1 + steps], offsets[2 + steps])
-    for _ in range(steps):
-        ancestors = tree.parent[ancestors]
-    return height, 1 + int(np.count_nonzero(ancestors[1:] != ancestors[:-1]))
+    ends = np.ones((rows, 1), dtype=np.int64)
+    height = np.zeros((rows, 1), dtype=np.int64)
+    for _ in range(t):
+        fits = ends[:, 0] <= width  # the ends only rise, so the last test is o_t's
+        nxt = forward(ends)
+        height += nxt > ends
+        ends = nxt
+    deg = prefix[:, 1:2]
+    bounds = 1 + np.minimum(np.arange(deg.max() + 1), deg)
+    for _ in range(t - 1):
+        bounds = forward(bounds)
+    return height[:, 0], np.count_nonzero(np.diff(bounds, axis=1), axis=1), fits
 
 
 # -- Monte-Carlo gamma estimation ---------------------------------------------
@@ -194,9 +155,22 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
         raise ValueError(f"t must be >= 1, got {t}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    cdf = _poisson_cdf(float(c))
     fates = np.empty((trials, 2), dtype=np.int64)
-    for i, rng in enumerate(rngs_from_seeds(mix_seed(seed, i) for i in range(trials))):
-        fates[i] = _root_fate(sample_tree(c, t, rng), t - 1)
+    todo, width = np.arange(trials), _FIRST_WIDTH
+    while len(todo):
+        rows = max(1, _BLOCK_DOUBLES // width)
+        u = np.empty((rows, width))
+        rngs = rngs_from_seeds(mix_seed(seed, int(i)) for i in todo)
+        short = []
+        for start in range(0, len(todo), rows):
+            block = todo[start : start + rows]
+            for row, rng in zip(u[: len(block)], rngs):  # zip stops on u before rngs
+                rng.random(out=row)
+            height, degree, fits = _block_fates(cdf, t, u[: len(block)])
+            fates[block[fits]] = np.column_stack((height, degree))[fits]
+            short.append(block[~fits])
+        todo, width = np.concatenate(short), 2 * width
     steps, degrees = fates.T
     # a root first isolated at round s counts for every entry from s on
     iso = np.cumsum(np.bincount(steps, minlength=t))[:t]

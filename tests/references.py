@@ -5,15 +5,108 @@ only tests read, and is kept only so that differential tests can compare the
 two on the same inputs.  The graph references use the public graph API.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from collapse_lab.graph_core import AdjacencyGraph
-from collapse_lab.tree_process import PoissonTree, _poisson_cdf, _poisson_counts, _root_fate
+from collapse_lab.graph_core import AdjacencyGraph, mix_seed, rng_from_seed
+from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
+
+_TREE_BATCH = 64  # sample_tree's first offspring batch
 
 
 def is_closed_nbhd_subset(g: AdjacencyGraph, u: int, w: int) -> bool:
     """Whether N[u] is contained in N[w] (both vertices alive), by the literal set test."""
     return g.neighbor_view(u) | {u} <= g.neighbor_view(w) | {w}
+
+
+def _poisson_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    # inversion: count = #{k : cdf[k] <= u} = searchsorted right
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
+@dataclass(frozen=True)
+class PoissonTree:
+    """Depth-truncated offspring tree in BFS layout.
+
+    parent[0] is -1.  Each node's children are contiguous and appear in the
+    order of their parents, so parent[1:] is np.repeat(arange(size),
+    n_children) and the root's children are nodes 1..root_degree().
+    layer_offsets has one entry per depth plus a terminal size entry, so the
+    nodes at depth d occupy indices layer_offsets[d]:layer_offsets[d+1], and
+    no layer is empty: the offsets rise strictly.
+    """
+
+    parent: np.ndarray
+    n_children: np.ndarray
+    layer_offsets: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.parent)
+
+    def root_degree(self) -> int:
+        return int(self.n_children[0])
+
+
+def sample_tree(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:
+    """Grow a Galton-Watson tree with Poisson(c) offspring, truncated at `depth`.
+
+    Node k's count comes from the k-th double of one batch of draws, doubled
+    whenever a layer reaches past it: the tree per-layer draws give, with rng
+    left up to one batch further on.
+    """
+    if c < 0:
+        raise ValueError(f"offspring mean must be >= 0, got {c}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    cdf = _poisson_cdf(float(c))
+    counts: list[int] = []
+    offsets = [0, 1]
+    drawn = 0  # nodes whose counts were read: every layer but a full-depth last one
+    for _ in range(depth):
+        drawn = offsets[-1]
+        while len(counts) < drawn:
+            counts += _poisson_counts(cdf, rng, max(len(counts), _TREE_BATCH)).tolist()
+        n_next = sum(counts[offsets[-2] : drawn])
+        if n_next == 0:
+            break
+        offsets.append(drawn + n_next)
+    n_children = np.array(counts[:drawn] + [0] * (offsets[-1] - drawn), dtype=np.int64)
+    return PoissonTree(
+        parent=np.concatenate(([-1], np.repeat(np.arange(drawn), n_children[:drawn]))),
+        n_children=n_children,
+        layer_offsets=np.array(offsets, dtype=np.int64),
+    )
+
+
+def _root_fate(tree: PoissonTree, steps: int) -> tuple[int, int]:
+    """(round the root is first isolated, root degree after `steps` rounds), read off the layers."""
+    offsets = tree.layer_offsets
+    # no layer is empty, so the root's height is its number of layers below
+    height = len(offsets) - 2
+    if steps >= height:
+        return height, 0
+    # the children that survive `steps` rounds are the depth-1 ancestors of
+    # the nodes at depth 1 + steps; BFS order keeps the ancestors sorted
+    ancestors = np.arange(offsets[1 + steps], offsets[2 + steps])
+    for _ in range(steps):
+        ancestors = tree.parent[ancestors]
+    return height, 1 + int(np.count_nonzero(ancestors[1:] != ancestors[:-1]))
+
+
+def estimate_gamma_per_tree(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
+    """`estimate_gamma` one tree at a time, each from a fresh rng_from_seed(mix_seed(seed, i))."""
+    fates = np.array(
+        [_root_fate(sample_tree(c, t, rng_from_seed(mix_seed(seed, i))), t - 1) for i in range(trials)]
+    )
+    steps, degrees = fates.T
+    return TreeTrialStats(
+        t=t,
+        trials=trials,
+        isolated_by_step=tuple(np.cumsum(np.bincount(steps, minlength=t))[:t].tolist()),
+        root_degree_hist=tuple(np.bincount(degrees).tolist()),
+    )
 
 
 def sample_tree_per_layer(c: float, depth: int, rng: np.random.Generator) -> PoissonTree:

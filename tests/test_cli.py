@@ -89,6 +89,14 @@ def test_predict_output(capsys):
     assert "rounds_for_epsilon" in err
 
 
+def test_predict_at_large_c_stays_within_its_upper_bound(capsys):
+    # an absolute error in gamma near exp(-30) once put epsilon_t above eps_upper
+    code, out, _ = run_main(["predict", "--c", "30", "--n", "1000", "--format", "json"], capsys)
+    assert code == 0
+    (row,) = json.loads(out)
+    assert 0.0 <= row["epsilon_t"] <= row["eps_upper"]
+
+
 def test_predict_paper_constants_scale(capsys):
     _, out_a, _ = run_main(["predict", "--c", "1.5", "--t", "2"], capsys)
     _, out_b, _ = run_main(["predict", "--c", "1.5", "--t", "2", "--paper-constants"], capsys)

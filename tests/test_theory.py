@@ -6,6 +6,7 @@ from the correctly rounded value by one ulp, hence the 5e-15 slack on the
 recursion values.
 """
 
+import decimal
 import itertools
 import math
 
@@ -72,6 +73,35 @@ def test_fixed_point_matches_bisection():
 def test_fixed_point_frozen_values():
     for c, expect in GAMMA_STAR.items():
         assert gamma_fixed_point(c) == pytest.approx(expect, abs=1e-12)
+
+
+def test_fixed_point_bits_unchanged_up_to_c15():
+    # the collapse digests carry predicted_core_f0 at c = 1.5
+    pinned = {
+        1.0001: "0x1.ffe5ca021fe13p-1",
+        1.1: "0x1.a5d1bedac8eacp-1",
+        1.5: "0x1.ab336ca77948fp-2",
+        2.0: "0x1.a020f6441041ap-3",
+        3.0: "0x1.e796ed0b9e268p-5",
+        5.0: "0x1.c94136c03ca9cp-8",
+        10.0: "0x1.7d03e6625dccbp-15",
+        15.0: "0x1.48762f0a97a94p-22",
+    }
+    for c, bits in pinned.items():
+        assert gamma_fixed_point(c).hex() == bits, c
+
+
+def test_fixed_point_relative_error_at_large_c():
+    """gamma is near exp(-c) here, so an absolute tolerance says nothing about it."""
+    with decimal.localcontext(prec=60):
+        for c in (20.0, 30.0, 100.0, 700.0):
+            x, big_c = decimal.Decimal(0), decimal.Decimal(c)
+            for _ in range(100):
+                x, prev = (-big_c * (1 - x)).exp(), x
+                if x == prev:
+                    break
+            assert x == prev, c
+            assert abs(decimal.Decimal(gamma_fixed_point(c)) / x - 1) <= decimal.Decimal("1e-12"), c
 
 
 def test_fixed_point_domain():

@@ -1,37 +1,39 @@
 """Offspring trees, synchronized leaf pruning, and the isolation-time estimator.
 
-estimate_gamma reads the layer rule (_root_fate, through the same wrappers
-tested here): the root is first isolated at its number of non-empty layers
-below, and after s rounds its degree is the number of distinct depth-1
-ancestors at depth 1 + s.  gamma_t is thus the probability that a Poisson(c)
-Galton-Watson tree is extinct by generation t, hence the recursion
-exp(-c(1 - gamma)).  The literal round-by-round simulation (root_collapse,
-and an in-test stepper on the adjacency form) is held equal to the rule
-across random trees.
+estimate_gamma applies the layer rule to a block of trees at once: one row
+of doubles per tree, layer ends o_{d+1} = 1 + P[o_d] over the row's prefix
+sums P, the root first isolated at its number of non-empty layers below, and
+its degree after s rounds the number of its children whose descendant range
+is still non-empty at depth 1 + s.  A row too short for its tree is drawn
+again from its seed with twice the width.  gamma_t is thus the probability
+that a Poisson(c) Galton-Watson tree is extinct by generation t, hence the
+recursion exp(-c(1 - gamma)).  The per-tree reference (sample_tree and
+_root_fate, in references.py) is held equal to the literal round-by-round
+simulation (root_collapse, and an in-test stepper on the adjacency form)
+across random trees, and estimate_gamma is held equal to that reference.
 """
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from collapse_lab import tree_process
 from collapse_lab.collapse_engine import dominated_set
 from collapse_lab.graph_core import mix_seed, rng_from_seed
 from collapse_lab.theory import gamma_sequence
-from collapse_lab.tree_process import (
-    PoissonTree,
-    TreeTrialStats,
-    _TREE_BATCH,
-    _poisson_cdf,
-    _poisson_counts,
-    estimate_gamma,
-    sample_tree,
-)
+from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf, estimate_gamma
 from references import (
+    PoissonTree,
+    _TREE_BATCH,
     _isolation_step,
+    _poisson_counts,
+    estimate_gamma_per_tree,
     root_collapse,
     root_degree_after,
+    sample_tree,
     sample_tree_per_layer,
     to_graph,
 )
@@ -323,11 +325,45 @@ def test_estimate_gamma_golden_values():
     assert b.root_degree_hist == (64, 170, 232, 220, 161, 84, 36, 20, 11, 2)
 
 
+def test_block_kernel_matches_per_tree_reference():
+    """Every tree of every block: the fates of one fresh generator per tree."""
+    for c in (0.0, 0.5, 1.0, 1.5, 3.0, 5.0, 20.0):
+        for t in range(1, 4 if c >= 5 else 7):
+            for seed in (3, 40, 2**64 - 1):
+                trials = 131 + 7 * t  # never a whole number of blocks
+                got = estimate_gamma(c, t, trials, seed)
+                assert got == estimate_gamma_per_tree(c, t, trials, seed), (c, t, seed)
+
+
+def test_block_kernel_with_tiny_blocks_and_rows(monkeypatch):
+    """Rows of 2 doubles and blocks of 8: every doubling pass and partial block runs."""
+    monkeypatch.setattr(tree_process, "_FIRST_WIDTH", 2)
+    monkeypatch.setattr(tree_process, "_BLOCK_DOUBLES", 8)
+    for c, t in ((0.5, 4), (1.5, 1), (1.5, 5), (3.0, 4), (20.0, 2)):
+        for seed in (0, 1, 2):
+            assert estimate_gamma(c, t, 37, seed) == estimate_gamma_per_tree(c, t, 37, seed)
+
+
+def test_estimate_gamma_memory():
+    """One block of 128 rows of 64 doubles at a time, not one matrix for all trees."""
+    estimate_gamma(1.5, 6, 10, 0)  # the cdf table and imports, outside the measure
+    tracemalloc.start()
+    try:
+        estimate_gamma(1.5, 6, 4000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000, peak
+
+
 def test_estimate_gamma_domain():
     with pytest.raises(ValueError):
         estimate_gamma(1.5, 0, 100, seed=0)
     with pytest.raises(ValueError):
         estimate_gamma(1.5, 3, 0, seed=0)
+    for c in (-1.0, 709.0, math.nan):
+        with pytest.raises(ValueError):
+            estimate_gamma(c, 1, 10, 0)
 
 
 def test_mean_root_degree_at_t1_is_c():

@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,11 @@ _VERIFY_BLOCK = 2**20  # lookups per `scan_edges` verification block, about 50 M
 
 @dataclass(frozen=True)
 class PhaseReport:
-    """One pruning phase: who was removed, f0 afterwards, newly isolated count."""
+    """One pruning phase: who was removed, f0 afterwards, newly isolated count.
 
-    phase_index: int
+    Phase k of a trace is `trace.phases[k - 1]`.
+    """
+
     removed: list[int]
     f0_after: int
     isolated_created: int
@@ -224,18 +226,13 @@ def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
 # -- epoch 1: pruning phases -------------------------------------------------
 
 
-def prune_phase(
-    g: AdjacencyGraph,
-    phase_index: int = 1,
-    order_rng: np.random.Generator | None = None,
-) -> PhaseReport:
+def prune_phase(g: AdjacencyGraph, order_rng: np.random.Generator | None = None) -> PhaseReport:
     """One phase of the `_run_phases` loop, its snapshot taken by a full scan.
 
     The full-scan snapshot makes this the reference that the tests hold the
     loop's carried snapshots to.
     """
-    trace, _ = _run_phases(g, 1, order_rng, dominated_set(g))
-    return replace(trace.phases[0], phase_index=phase_index)
+    return _run_phases(g, 1, order_rng, dominated_set(g))[0].phases[0]
 
 
 def _run_phases(
@@ -259,7 +256,7 @@ def _run_phases(
     f0 = initial_f0 = g.non_isolated_count()
     phases: list[PhaseReport] = []
     adj = g._adj
-    for i in itertools.count(1) if t is None else range(1, t + 1):
+    for _ in itertools.count() if t is None else range(t):
         if order_rng is not None:
             snapshot = [snapshot[j] for j in order_rng.permutation(len(snapshot))]
         removed: list[int] = []
@@ -272,7 +269,7 @@ def _run_phases(
                 removed.append(v)
         isolated = sum(1 for u in touched if not adj[u])
         f0 -= len(removed) + isolated
-        phases.append(PhaseReport(i, removed, f0, isolated))
+        phases.append(PhaseReport(removed, f0, isolated))
         snapshot = [v for v in sorted(touched) if _dominators(adj, v)]
         if not removed:
             break

@@ -237,7 +237,7 @@ def cmd_gamma(args) -> int:
     if args.t < 0:
         raise ValueError(f"t must be >= 0, got {args.t}")
     table = theory.gamma_sequence(args.c, args.t + 1)
-    rows = [{"t": t, "gamma": table[t], "beta": table.beta_of(t)} for t in range(args.t + 1)]
+    rows = [{"t": t, "gamma": table[t], "beta": 1.0 - table[t + 1]} for t in range(args.t + 1)]
     _emit_records(rows, list(rows[0]), args)
     if args.c > 1:
         gs = theory.gamma_fixed_point(args.c)
@@ -260,7 +260,8 @@ def cmd_predict(args) -> int:
         "eps_upper": bounds.eps_upper,
     }
     _emit_records([row], list(row), args)
-    _say(f"rounds_for_epsilon(c, 0.01)={theory.rounds_for_epsilon(args.c, 0.01)}")
+    rounds = t if args.t is None else theory.rounds_for_epsilon(args.c, 0.01)
+    _say(f"rounds_for_epsilon(c, 0.01)={rounds}")
     return 0
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-_SEED_CHUNK = 128  # seeds hashed at once: larger chunks raise `tree`'s peak RSS, 4000 by 2 MB
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 _WORD = np.uint64(0xFFFFFFFF)
@@ -67,37 +66,35 @@ def _seed_hash(v: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
     return v ^ (v >> np.uint64(16)), h_next
 
 
-def rngs_from_seeds(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
-    """`rng_from_seed(s)` for each seed in turn: one generator, re-stated per seed.
+def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
+    """Fill row i of `out` with the doubles `rng_from_seed(seeds[i]).random()` gives.
 
-    Use each yield before taking the next.  The states are numpy's, computed
-    for a chunk of seeds at once: SeedSequence(s) hashes the seed's 32-bit
-    words (zero-padded to 4) into a pool, mixes the pool and hashes out the
-    halves of (initstate, initseq); PCG64 sets inc = 2 initseq + 1 and
-    state = (initstate + inc) * multiplier + inc.
+    The generator states are numpy's, computed for all the seeds at once:
+    SeedSequence(s) hashes the seed's 32-bit words (zero-padded to 4) into a
+    pool, mixes the pool and hashes out the halves of (initstate, initseq);
+    PCG64 sets inc = 2 initseq + 1 and state = (initstate + inc) * multiplier
+    + inc.  One generator takes each state in turn and fills that row.
     """
+    s = np.array([x & _MASK64 for x in seeds], dtype=np.uint64)
+    pool, h = [s & _WORD, s >> np.uint64(32), 0 * s, 0 * s], 0x43B0D7E5
+    for k in range(4):
+        pool[k], h = _seed_hash(pool[k], h, 0x931E8875)
+    for src, dst in itertools.permutations(range(4), 2):
+        w, h = _seed_hash(pool[src], h, 0x931E8875)
+        mixed = (np.uint64(0xCA01F9DD) * pool[dst] - np.uint64(0x4973F715) * w) & _WORD
+        pool[dst] = mixed ^ (mixed >> np.uint64(16))
+    words, h = pool + pool, 0x8B51F9DD  # 8 output words cycle over the pool
+    for k in range(8):
+        words[k], h = _seed_hash(words[k], h, 0x58F38DED)
+    halves = [(words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in (0, 2, 4, 6)]
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    seeds = iter(seeds)
-    while chunk := [x & _MASK64 for x in itertools.islice(seeds, _SEED_CHUNK)]:
-        s = np.array(chunk, dtype=np.uint64)
-        pool, h = [s & _WORD, s >> np.uint64(32), 0 * s, 0 * s], 0x43B0D7E5
-        for k in range(4):
-            pool[k], h = _seed_hash(pool[k], h, 0x931E8875)
-        for src, dst in itertools.permutations(range(4), 2):
-            w, h = _seed_hash(pool[src], h, 0x931E8875)
-            mixed = (np.uint64(0xCA01F9DD) * pool[dst] - np.uint64(0x4973F715) * w) & _WORD
-            pool[dst] = mixed ^ (mixed >> np.uint64(16))
-        words, h = pool + pool, 0x8B51F9DD  # 8 output words cycle over the pool
-        for k in range(8):
-            words[k], h = _seed_hash(words[k], h, 0x58F38DED)
-        halves = [(words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in (0, 2, 4, 6)]
-        for init_hi, init_lo, seq_hi, seq_lo in zip(*halves):
-            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-            state = (((init_hi << 64 | init_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-            yield rng
+    for row, init_hi, init_lo, seq_hi, seq_lo in zip(out, *halves, strict=True):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = (((init_hi << 64 | init_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+        rng.random(out=row)
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,9 @@ because clique enumeration is exponential in the worst case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import AdjacencyGraph
 
 DEFAULT_N_LIMIT = 30
-
-
-@dataclass(frozen=True)
-class CliqueCensus:
-    """f[d] = number of (d+1)-cliques, i.e. d-simplices of the clique complex."""
-
-    f: tuple[int, ...]
-
-    def euler(self) -> int:
-        return sum(count if d % 2 == 0 else -count for d, count in enumerate(self.f))
 
 
 def _check_size(g: AdjacencyGraph, n_limit: int) -> None:
@@ -31,11 +19,11 @@ def _check_size(g: AdjacencyGraph, n_limit: int) -> None:
         raise ValueError(f"oracle refuses graphs with {alive} alive vertices (limit {n_limit})")
 
 
-def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> CliqueCensus:
-    """Count every clique exactly, by ordered expansion over neighborhoods.
+def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> tuple[int, ...]:
+    """The f-vector: f[d] = number of (d+1)-cliques, i.e. d-simplices of the clique complex.
 
-    Each clique is visited once as its increasing-id vertex sequence; counts
-    are accumulated per size without materializing the cliques.
+    Ordered expansion over neighborhoods visits each clique once, as its
+    increasing-id vertex sequence, and counts it without materializing it.
     """
     _check_size(g, n_limit)
     f: list[int] = []
@@ -51,12 +39,12 @@ def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> CliqueCe
                 grow(nxt, depth + 1)
 
     grow(list(g.alive_ids()), 0)
-    return CliqueCensus(f=tuple(f))
+    return tuple(f)
 
 
 def euler_characteristic(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> int:
     """Alternating sum of simplex counts; collapse-invariant audit value."""
-    return clique_census(g, n_limit).euler()
+    return sum((-1) ** d * count for d, count in enumerate(clique_census(g, n_limit)))
 
 
 def is_dominated_via_link(g: AdjacencyGraph, v: int, n_limit: int = DEFAULT_N_LIMIT) -> bool:

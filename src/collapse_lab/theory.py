@@ -29,28 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_DEFAULT_TOL = 1e-12
+_TOL = 1e-12  # gamma_fixed_point's bound on its residual |exp(-c(1-gamma)) - gamma|
 _FLOAT_FIXED_POINT = 1e-6  # c*gamma at or below which gamma_fixed_point iterates to the float fixed point
 # 10^7 Python floats take about 0.3 GB; c just above 1 asks for far longer
 # tables (t = 205 363 150 at c = 1 + 1e-7), which every trial would build
 _MAX_GAMMA_STEPS = 10**7
-
-
-@dataclass(frozen=True)
-class GammaTable:
-    """gamma_0..gamma_T for one density constant c."""
-
-    gammas: tuple[float, ...]
-
-    def beta_of(self, t: int) -> float:
-        """Survival-side complement 1 - gamma_{t+1}."""
-        return 1.0 - self.gammas[t + 1]
-
-    def __getitem__(self, t: int) -> float:
-        return self.gammas[t]
-
-    def __len__(self) -> int:
-        return len(self.gammas)
 
 
 @dataclass(frozen=True)
@@ -63,8 +46,8 @@ class RateBounds:
     gap_upper: float
 
 
-def gamma_sequence(c: float, T: int) -> GammaTable:
-    """Iterate gamma_{t+1} = exp(-c(1-gamma_t)) from gamma_0 = 0 up to gamma_T."""
+def gamma_sequence(c: float, T: int) -> tuple[float, ...]:
+    """gamma_0 .. gamma_T, by gamma_{t+1} = exp(-c(1-gamma_t)) from gamma_0 = 0."""
     if not 0 < c < math.inf:
         raise ValueError(f"density constant must be finite and > 0, got {c}")
     if T < 1:
@@ -74,15 +57,16 @@ def gamma_sequence(c: float, T: int) -> GammaTable:
     gs = [0.0]
     for _ in range(T):
         gs.append(math.exp(-c * (1.0 - gs[-1])))
-    return GammaTable(tuple(gs))
+    return tuple(gs)
 
 
-def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
+def gamma_fixed_point(c: float) -> float:
     """Least root of exp(-c(1-x)) - x in (0, 1), for finite c > 1.
 
     Monotone iteration from 0 approaches the least fixed point from below
     (the map is a contraction on [0, gamma] since f' = c*f); bisection on
-    [last iterate, 1/c] then narrows it to an absolute width of tol/16.  Where
+    [last iterate, 1/c] then narrows it to an interval at most _TOL/16 wide
+    and returns its midpoint; a residual above _TOL raises.  Where
     c*gamma <= 1e-6 (c above about 16.6) an absolute width would swamp gamma,
     which is near exp(-c), so there the iteration runs on to its float fixed
     point instead: its contraction factor c*gamma is so small that this is
@@ -92,14 +76,12 @@ def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
     """
     if not 1 < c < math.inf:
         raise ValueError(f"fixed point requires finite c > 1, got c={c}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     if math.exp(-c) == 0.0:
         return 0.0
     gamma = 0.0
     for _ in range(1000):
         nxt = math.exp(-c * (1.0 - gamma))
-        done = nxt == gamma if c * nxt <= _FLOAT_FIXED_POINT else nxt - gamma <= tol / 4
+        done = nxt == gamma if c * nxt <= _FLOAT_FIXED_POINT else nxt - gamma <= _TOL / 4
         gamma = nxt
         if done:
             break
@@ -112,14 +94,14 @@ def gamma_fixed_point(c: float, tol: float = _DEFAULT_TOL) -> float:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol / 16:
+            if hi - lo <= _TOL / 16:
                 break
         gamma = 0.5 * (lo + hi)
     residual = abs(math.exp(-c * (1.0 - gamma)) - gamma)
     if not (c * gamma < 1.0):
         raise AssertionError(f"contraction bound violated: c*gamma = {c * gamma}")
-    if residual > tol:
-        raise AssertionError(f"fixed-point residual {residual} exceeds tol {tol}")
+    if residual > _TOL:
+        raise AssertionError(f"fixed-point residual {residual} exceeds {_TOL}")
     return gamma
 
 
@@ -132,7 +114,7 @@ def root_degree_pmf(c: float, t: int, k: int) -> float:
         raise ValueError(f"need t >= 1, got {t}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    gamma_prev = 0.0 if t == 1 else gamma_sequence(c, t - 1).gammas[t - 1]
+    gamma_prev = 0.0 if t == 1 else gamma_sequence(c, t - 1)[t - 1]
     lam = c * (1.0 - gamma_prev)
     if lam == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -143,9 +125,8 @@ def prob_degree_ge2(c: float, t: int) -> float:
     """Probability the root keeps degree >= 2 after t-1 pruning steps."""
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    table = gamma_sequence(c, t)
-    gamma_prev = table.gammas[t - 1]
-    gamma_t = table.gammas[t]
+    gs = gamma_sequence(c, t)
+    gamma_prev, gamma_t = gs[t - 1], gs[t]
     return 1.0 - gamma_t * (1.0 + c * (1.0 - gamma_prev))
 
 
@@ -157,7 +138,7 @@ def expected_f0_after_t(c: float, n: float, t: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    gs = gamma_sequence(c, t + 1).gammas
+    gs = gamma_sequence(c, t + 1)
     return (1.0 - gs[t + 1] - c * gs[t] + c * gs[t] ** 2) * n
 
 

@@ -33,10 +33,10 @@ degree after s rounds is the number of strict rises among them (0 when
 h <= s).  The tests hold this rule to a literal round-by-round simulation.
 
 Reproducibility: estimate_gamma gives trial i the generator
-rng_from_seed(mix_seed(seed, i)), seeded in bulk by graph_core.rngs_from_seeds,
-so any single tree can be re-drawn in isolation.  It draws a block of trees
-at once, one row of doubles per tree, and applies the layer rule to the
-whole block as array operations.  A row too short for its tree (o_t past the
+rng_from_seed(mix_seed(seed, i)), so any single tree can be re-drawn in
+isolation.  It draws a block of trees at once, one row of doubles per tree
+filled by graph_core.random_rows, and applies the layer rule to the whole
+block as array operations.  A row too short for its tree (o_t past the
 row's end) is drawn again from its seed with twice the width, until every
 tree fits.
 """
@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_core import mix_seed, rngs_from_seeds
+from .graph_core import mix_seed, random_rows
 
 _CDF_TAIL = 1e-16
 _FIRST_WIDTH = 64  # doubles per tree in the first pass: a mean tree at c = 1.5, t = 6 reads 21
@@ -161,12 +161,10 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
     while len(todo):
         rows = max(1, _BLOCK_DOUBLES // width)
         u = np.empty((rows, width))
-        rngs = rngs_from_seeds(mix_seed(seed, int(i)) for i in todo)
         short = []
         for start in range(0, len(todo), rows):
             block = todo[start : start + rows]
-            for row, rng in zip(u[: len(block)], rngs):  # zip stops on u before rngs
-                rng.random(out=row)
+            random_rows([mix_seed(seed, i) for i in block.tolist()], u[: len(block)])
             height, degree, fits = _block_fates(cdf, t, u[: len(block)])
             fates[block[fits]] = np.column_stack((height, degree))[fits]
             short.append(block[~fits])

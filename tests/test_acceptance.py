@@ -84,7 +84,7 @@ def test_a1_fixed_point_against_bisection():
         else:
             hi = mid
     reference = 0.5 * (lo + hi)
-    value = gamma_fixed_point(C, 1e-12)
+    value = gamma_fixed_point(C)
     diff = abs(value - reference)
     ok = diff <= 1e-10 and C * value < 1.0
     _report("A1", ok, f"|gamma - bisection| = {diff:.3e}, c*gamma = {C * value:.6f}")

@@ -18,7 +18,12 @@ import pytest
 
 from collapse_lab import experiments_cli as cli
 from collapse_lab import simplicial_oracle, theory
-from collapse_lab.collapse_engine import count_dominated_pairs, has_universal_vertex
+from collapse_lab.collapse_engine import (
+    count_dominated_pairs,
+    has_universal_vertex,
+    run_epoch1,
+    run_epoch2,
+)
 from collapse_lab.experiments_cli import (
     RECORD_COLUMNS,
     SWEEP_COLUMNS,
@@ -29,7 +34,7 @@ from collapse_lab.experiments_cli import (
     main,
     resolve_threads,
 )
-from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, sample_er
+from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, rng_from_seed, sample_er
 
 
 def strip_wall_time(csv_text: str) -> str:
@@ -239,6 +244,28 @@ def test_trial_command_golden_bodies(command, capsys):
     code, out, _ = run_main(argv + ["--threads", "1"], capsys)
     assert code == 0
     assert strip_wall_time(out) + "\n" == ",".join(RECORD_COLUMNS[:-1]) + "\n" + rows
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_collapse_example_matches_the_program(capsys):
+    lines = README.read_text().splitlines()
+    start = lines.index("$ collapse-lab collapse --n 2000 --c 1.5 --t 5 --trials 2 --seed 1")
+    block = lines[start + 1 : lines.index("```", start)]
+    code, out, err = run_main(lines[start].split()[2:], capsys)
+    assert code == 0
+    assert err.splitlines() == [line for line in block if "," not in line]
+    assert strip_wall_time(out) == strip_wall_time("\n".join(line for line in block if "," in line))
+
+
+def test_readme_rerun_snippet_matches_its_row():
+    s = 6238072747940578789
+    g = sample_er(GraphParams.from_c(n=2000, c=1.5, seed=s))
+    run_epoch1(g, 5)
+    assert g.non_isolated_count() == 468  # f0_epoch1 of the README row
+    run_epoch2(g, rng_from_seed(mix_seed(s, 1)))
+    assert g.non_isolated_count() == 412  # core_f0 of the README row
 
 
 def test_collapse_csv_shape(capsys):

@@ -179,7 +179,7 @@ def rescan_phases(g, t=None, order_rng=None):
     """Full-rescan reference: repeated prune_phase until one removes nothing, or t phases."""
     reports = []
     while t is None or len(reports) < t:
-        reports.append(prune_phase(g, phase_index=len(reports) + 1, order_rng=order_rng))
+        reports.append(prune_phase(g, order_rng=order_rng))
         if not reports[-1].removed:
             break
     return reports

@@ -12,8 +12,8 @@ from collapse_lab.graph_core import (
     GraphParams,
     _pair_index_to_uv,
     mix_seed,
+    random_rows,
     rng_from_seed,
-    rngs_from_seeds,
     sample_edges,
     sample_er,
     splitmix64,
@@ -48,19 +48,20 @@ def test_rng_from_seed_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_rngs_from_seeds_replay_fresh_generators():
-    # 1205 seeds: nine full chunks of states and a partial one
+def test_random_rows_replay_fresh_generators():
     edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     seeds = edges + [mix_seed(31, i) for i in range(1200)]
-    count = 0
-    for k, (s, rng) in enumerate(zip(seeds, rngs_from_seeds(seeds))):
-        fresh = rng_from_seed(s)
-        assert rng.bit_generator.state == fresh.bit_generator.state, s
-        n = 1 + k % 70
-        assert np.array_equal(rng.random(n), fresh.random(n)), s
-        rng.integers(0, 10, dtype=np.uint32)  # leaves a buffered half-word behind
-        count += 1
-    assert count == len(seeds)
+    expect = np.array([rng_from_seed(s).random(70) for s in seeds])
+    out = np.empty((len(seeds), 70))
+    random_rows(seeds, out)
+    assert np.array_equal(out, expect)
+    # uneven splits: each call starts its seeds' streams afresh
+    out = np.full((len(seeds), 70), np.nan)
+    for lo, hi in itertools.pairwise([0, 1, 2, 7, 135, 136, 700, len(seeds)]):
+        random_rows(seeds[lo:hi], out[lo:hi])
+    assert np.array_equal(out, expect)
+    with pytest.raises(ValueError):
+        random_rows(seeds[:3], out[:2])
 
 
 # -- GraphParams ---------------------------------------------------------------

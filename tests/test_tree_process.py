@@ -279,7 +279,7 @@ def test_estimate_gamma_t1_matches_poisson_zero():
 
 
 def test_estimate_gamma_t3_matches_recursion():
-    gamma_3 = gamma_sequence(1.5, 3).gammas[3]
+    gamma_3 = gamma_sequence(1.5, 3)[3]
     stats = estimate_gamma(1.5, 3, 20_000, seed=1)
     assert abs(stats.gamma_hat - gamma_3) <= 4 * math.sqrt(gamma_3 * (1 - gamma_3) / 20_000)
 

@@ -22,8 +22,9 @@ determinism guarantee.
 Parallelism (--threads, default and cap the CPUs the process may use) fans
 trials out to worker processes; each worker owns its graph and generator and
 results are collected in trial-index order, so the output is schedule
-independent.  The tree command runs in one process: it checks --threads and
-then ignores it.  An unwritable --out is refused before any trial runs.
+independent.  Before any trial runs, main refuses an unwritable --out and
+then a --threads below 1; the tree command runs in one process and ignores
+the checked value.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import collapse_engine as engine
 from . import simplicial_oracle as oracle
 from . import theory
-from .graph_core import GraphParams, mix_seed, rng_from_seed, sample_edges, sample_er
+from .graph_core import mix_seed, rng_from_seed, sample_edges, sample_er
 from .tree_process import estimate_gamma
 
 RECORD_COLUMNS = [
@@ -134,12 +135,12 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     """
     n, c, t, trial_index, trial_seed, expected_f0, predicted_core = task
     t0 = time.perf_counter()
-    params = GraphParams.from_c(n=n, c=c, seed=trial_seed)
-    g = sample_er(params)
+    p = c / n
+    g = sample_er(n, p, trial_seed)
     rec = _blank_record()
     rec["n"] = n
     rec["c"] = float(c)
-    rec["p"] = params.p
+    rec["p"] = p
     rec["t"] = t
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
@@ -172,7 +173,7 @@ def _phase_trial(task: tuple) -> dict:
     rec["trial_index"] = trial_index
     rec["seed"] = trial_seed
     edge_prob = prob if side == "sparse" else 1.0 - prob
-    us, vs = sample_edges(GraphParams(n=n, p=edge_prob, seed=trial_seed))
+    us, vs = sample_edges(n, edge_prob, trial_seed)
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     if side == "sparse":
         rec["max_degree"] = int(deg.max())
@@ -195,15 +196,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_threads(flag: int | None) -> int:
-    value = flag if flag is not None else _usable_cpus()
-    if value < 1:
-        raise ValueError(f"thread count must be >= 1, got {value}")
-    return value
-
-
 def _run_tasks(worker, tasks: list, threads: int | None) -> list:
-    workers = min(resolve_threads(threads), len(tasks), _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(threads or cpus, len(tasks), cpus)
     if workers <= 1:
         return [worker(task) for task in tasks]
     chunk = max(1, len(tasks) // (workers * 4))
@@ -216,7 +211,12 @@ def _check_point(n: int, c: float, t: int) -> tuple[float | None, float | None]:
 
     Also checks the graph parameters, so a bad point fails in the parent.
     """
-    GraphParams.from_c(n=n, c=c, seed=0)
+    if not c >= 0:
+        raise ValueError(f"mean-degree constant must be >= 0, got {c}")
+    if n <= 0:
+        raise ValueError(f"vertex count must be positive for c-form, got {n}")
+    if c / n > 1.0:
+        raise ValueError(f"c={c} exceeds n={n}, giving p={c / n} > 1")
     if c <= 1:
         return None, None
     return theory.expected_f0_after_t(c, n, t), theory.core_size_prediction(c, n)
@@ -266,7 +266,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    resolve_threads(args.threads)  # rejected below 1 as everywhere; the tree runs in one process
     table = theory.gamma_sequence(args.c, args.t)
     gamma_rows = []
     for t in range(1, args.t + 1):  # the table has refused t < 1, so `stats` is bound below
@@ -439,7 +438,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
     for k in range(40):
         n = 4 + (k % 13)
         p = 0.15 + 0.03 * (k % 16)
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(101, k)))
+        g = sample_er(n, p, mix_seed(101, k))
         for v in list(g.alive_ids()):
             via_link = oracle.is_dominated_via_link(g, v)
             via_nbhd = engine.find_dominator(g, v) is not None
@@ -453,7 +452,7 @@ def _check_chi_invariance() -> tuple[bool, str]:
     for k in range(25):
         n = 5 + (k % 12)
         p = 0.2 + 0.04 * (k % 10)
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(202, k)))
+        g = sample_er(n, p, mix_seed(202, k))
         chi_before = oracle.euler_characteristic(g)
         engine.run_core(g)
         chi_after = oracle.euler_characteristic(g)
@@ -474,7 +473,7 @@ def _check_core_uniqueness() -> tuple[bool, str]:
     for k in range(20):
         n = 6 + (k % 12)
         p = 0.2 + 0.05 * (k % 8)
-        base = sample_er(GraphParams(n=n, p=p, seed=mix_seed(303, k)))
+        base = sample_er(n, p, mix_seed(303, k))
         invariants = None
         for r in range(5):
             g = base.copy()
@@ -628,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-transition", help="dominated pairs near p = lam log(n)/n and 1 - lam log(n)/n"
     )
     sp.add_argument("--n", type=int, default=10_000)
-    sp.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
+    sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--side", choices=("sparse", "dense"), required=True)
     _add_common(sp, trials=50)
@@ -651,6 +650,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"trials must be >= 1, got {args.trials}")
         _check_out(args.out)
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {args.threads}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,17 +17,18 @@ implementation can replicate streams exactly):
   Each landed index is mapped back to its pair by an exact integer search
   of the row starts.  The edge set is a pure function of (n, p, seed).
 
-`sample_edges` is that stream as two numpy arrays; `sample_er` inserts it
-into an `AdjacencyGraph`, which costs far more than the draw itself.  Code
-that only reads a sampled graph (the phase-transition statistics) works on the
-arrays; the collapse, which deletes vertices, works on the sets.
+`sample_edges(n, p, seed)` is that stream as two numpy arrays; it refuses
+n < 0 and p outside [0, 1], and `rng_from_seed` takes the seed mod 2^64.
+`sample_er(n, p, seed)` inserts it into an `AdjacencyGraph`, which costs far
+more than the draw itself.  Code that only reads a sampled graph (the
+phase-transition statistics) works on the arrays; the collapse, which deletes
+vertices, works on the sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
@@ -97,45 +98,14 @@ def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
         rng.random(out=row)
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """Sampling parameters: size, edge probability, seed.
-
-    Use `from_c` for the c/n parametrization; seeds are reduced mod 2^64.
-    """
-
-    n: int
-    p: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"edge probability must lie in [0, 1], got {self.p}")
-        object.__setattr__(self, "seed", self.seed & _MASK64)
-
-    @classmethod
-    def from_c(cls, n: int, c: float, seed: int) -> "GraphParams":
-        if c < 0:
-            raise ValueError(f"mean-degree constant must be >= 0, got {c}")
-        if n <= 0:
-            raise ValueError(f"vertex count must be positive for c-form, got {n}")
-        p = c / n
-        if p > 1.0:
-            raise ValueError(f"c={c} exceeds n={n}, giving p={p} > 1")
-        return cls(n=n, p=p, seed=seed)
-
-
 class AdjacencyGraph:
     """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
 
     The sets and the flags are all it holds: no count is cached.  Neighbor
     sets hold alive vertices only and stay symmetric under every operation; a
     removed vertex's set is empty, so `non_isolated_count` counts the
-    non-empty sets.  `alive_count` counts the alive flags.  The public
-    `neighbors` accessor returns a sorted list; `neighbor_view` exposes the
-    internal set for read-only use on hot paths (do not mutate it).
+    non-empty sets.  `alive_count` counts the alive flags.  `neighbor_view`
+    exposes a vertex's internal set for read-only use (do not mutate it).
     """
 
     __slots__ = ("n", "_alive", "_adj")
@@ -173,10 +143,6 @@ class AdjacencyGraph:
     def degree(self, v: int) -> int:
         self._require_alive(v)
         return len(self._adj[v])
-
-    def neighbors(self, v: int) -> list[int]:
-        self._require_alive(v)
-        return sorted(self._adj[v])
 
     def neighbor_view(self, v: int) -> AbstractSet[int]:
         """Internal neighbor set of an alive vertex; treat as read-only."""
@@ -252,21 +218,24 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
+def sample_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the edges of G(n, p) by geometric gap skipping over the n(n-1)/2 pairs.
 
     Returns int64 arrays (us, vs) with us < vs, in ascending row-major order.
-    Expected O(n + m log n) work.  Deterministic in params.seed; p in {0, 1}
-    does not consume randomness at all.
+    Expected O(n + m log n) work.  Deterministic in the seed, taken mod 2^64;
+    p in {0, 1} does not consume randomness at all.
     """
-    n, p = params.n, params.p
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0 or p == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if p == 1.0:
         idx = np.arange(total_pairs, dtype=np.int64)
     else:
-        rng = rng_from_seed(params.seed)
+        rng = rng_from_seed(seed)
         log_q = math.log1p(-p)
         pos = -1
         chunks: list[np.ndarray] = []
@@ -301,11 +270,11 @@ def sample_edges(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
     return _pair_index_to_uv(idx, n)
 
 
-def sample_er(params: GraphParams) -> AdjacencyGraph:
-    """An `AdjacencyGraph` holding the edges of `sample_edges(params)`."""
-    g = AdjacencyGraph(params.n)
+def sample_er(n: int, p: float, seed: int) -> AdjacencyGraph:
+    """An `AdjacencyGraph` holding the edges of `sample_edges(n, p, seed)`."""
+    g = AdjacencyGraph(n)
     adj = g._adj
-    us, vs = sample_edges(params)
+    us, vs = sample_edges(n, p, seed)
     for u, v in zip(us.tolist(), vs.tolist()):
         adj[u].add(v)
         adj[v].add(u)

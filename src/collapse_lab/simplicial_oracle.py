@@ -56,7 +56,7 @@ def is_dominated_via_link(g: AdjacencyGraph, v: int, n_limit: int = DEFAULT_N_LI
     cone.  Must agree with the neighborhood-containment test for every vertex.
     """
     _check_size(g, n_limit)
-    link = g.neighbors(v)
+    link = g.neighbor_view(v)
     if not link:
         return False
     for apex in link:

@@ -14,8 +14,9 @@ gamma_{t+1} = exp(-c(1 - gamma_t)).
 
 A tree is numbered in BFS order, children of each node contiguous and in
 the order of their parents.  Node k's offspring count is the cdf inversion
-(a cached Poisson table plus searchsorted) of the k-th double of the tree's
-own stream, so a depth-t tree is a pure function of a prefix of that stream.
+(a Poisson table, built once per estimate_gamma call, plus searchsorted) of
+the k-th double of the tree's own stream, so a depth-t tree is a pure
+function of a prefix of that stream.
 With P the prefix sums of the counts (P[0] = 0), every node after the root
 is some node's child, so the layer ends are o_1 = 1 and o_{d+1} = 1 + P[o_d]:
 layer d holds the nodes o_d .. o_{d+1} - 1, and the counts read are those of
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +57,6 @@ _FIRST_WIDTH = 64  # doubles per tree in the first pass: a mean tree at c = 1.5,
 _BLOCK_DOUBLES = 2**13  # doubles in one block of rows: 64 KB
 
 
-@lru_cache(maxsize=64)
 def _poisson_cdf(lam: float) -> np.ndarray:
     """Cumulative Poisson(lam) table, until the tail is < 1e-16 or the double sum stops moving."""
     if not lam >= 0:
@@ -81,9 +80,7 @@ def _poisson_cdf(lam: float) -> np.ndarray:
             break
         total += term
         cdf.append(total)
-    out = np.array(cdf)
-    out.setflags(write=False)
-    return out
+    return np.array(cdf)
 
 
 def _block_fates(cdf: np.ndarray, t: int, u: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -45,7 +45,7 @@ from collapse_lab.collapse_engine import (
     run_core,
 )
 from collapse_lab.experiments_cli import _check_point, _collapse_trial
-from collapse_lab.graph_core import GraphParams, mix_seed, rng_from_seed, sample_er
+from collapse_lab.graph_core import mix_seed, rng_from_seed, sample_er
 from collapse_lab.simplicial_oracle import euler_characteristic, is_dominated_via_link
 from collapse_lab.theory import (
     core_size_prediction,
@@ -229,7 +229,7 @@ def test_a8_pair_count_formulas():
     n8, trials = 8, 100_000
     counts = np.empty(trials, dtype=np.int64)
     for i in range(trials):
-        g = sample_er(GraphParams(n=n8, p=0.3, seed=mix_seed(0, i)))
+        g = sample_er(n8, 0.3, mix_seed(0, i))
         counts[i] = count_dominated_pairs(g)
     expect = 2.0 * expected_dominated_pairs(n8, 0.3)
     se = counts.std(ddof=1) / math.sqrt(trials)
@@ -238,7 +238,7 @@ def test_a8_pair_count_formulas():
     n, sparse_trials = 10_000, 50
     p_sparse = 1.5 * math.log(n) / n
     zero = sum(
-        count_dominated_pairs(sample_er(GraphParams(n=n, p=p_sparse, seed=mix_seed(0, i)))) == 0
+        count_dominated_pairs(sample_er(n, p_sparse, mix_seed(0, i))) == 0
         for i in range(sparse_trials)
     )
     zero_frac = zero / sparse_trials
@@ -246,7 +246,7 @@ def test_a8_pair_count_formulas():
     p_comp = 0.5 * math.log(n) / n
     universal = sum(
         (lambda g: g.alive_count() - g.non_isolated_count())(
-            sample_er(GraphParams(n=n, p=p_comp, seed=mix_seed(0, i)))
+            sample_er(n, p_comp, mix_seed(0, i))
         )
         > 0
         for i in range(sparse_trials)
@@ -308,7 +308,7 @@ def test_a10_structural_oracles():
     for k in range(100):
         n = 5 + (k % 21)
         p = 0.10 + 0.02 * (k % 10)
-        base = sample_er(GraphParams(n=n, p=p, seed=mix_seed(10, k)))
+        base = sample_er(n, p, mix_seed(10, k))
         # (1) the two domination definitions agree on every vertex
         for v in base.alive_ids():
             if is_dominated_via_link(base, v) != (find_dominator(base, v) is not None):

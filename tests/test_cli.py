@@ -18,12 +18,7 @@ import pytest
 
 from collapse_lab import experiments_cli as cli
 from collapse_lab import simplicial_oracle, theory
-from collapse_lab.collapse_engine import (
-    count_dominated_pairs,
-    has_universal_vertex,
-    run_epoch1,
-    run_epoch2,
-)
+from collapse_lab.collapse_engine import count_dominated_pairs, has_universal_vertex
 from collapse_lab.experiments_cli import (
     RECORD_COLUMNS,
     SWEEP_COLUMNS,
@@ -32,9 +27,8 @@ from collapse_lab.experiments_cli import (
     _collapse_trial,
     _phase_trial,
     main,
-    resolve_threads,
 )
-from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, rng_from_seed, sample_er
+from collapse_lab.graph_core import AdjacencyGraph, mix_seed, sample_er
 
 
 def strip_wall_time(csv_text: str) -> str:
@@ -259,13 +253,12 @@ def test_readme_collapse_example_matches_the_program(capsys):
     assert strip_wall_time(out) == strip_wall_time("\n".join(line for line in block if "," in line))
 
 
-def test_readme_rerun_snippet_matches_its_row():
-    s = 6238072747940578789
-    g = sample_er(GraphParams.from_c(n=2000, c=1.5, seed=s))
-    run_epoch1(g, 5)
-    assert g.non_isolated_count() == 468  # f0_epoch1 of the README row
-    run_epoch2(g, rng_from_seed(mix_seed(s, 1)))
-    assert g.non_isolated_count() == 412  # core_f0 of the README row
+def test_readme_rerun_snippet_matches_its_row(capsys):
+    lines = README.read_text().splitlines()
+    intro = next(i for i, line in enumerate(lines) if "To re-run one trial" in line)
+    start = lines.index("```python", intro)
+    exec("\n".join(lines[start + 1 : lines.index("```", start + 1)]), {})
+    assert capsys.readouterr().out == "412\n"  # core_f0 of the README row
 
 
 def test_collapse_csv_shape(capsys):
@@ -394,7 +387,7 @@ def test_phase_transition_explicit_p(capsys):
 def test_dense_side_matches_explicit_complement():
     n, prob, seed = 30, 0.83, mix_seed(5, 0)
     rec = _phase_trial((n, prob, "dense", 0, seed))
-    comp = sample_er(GraphParams(n=n, p=1.0 - prob, seed=seed))
+    comp = sample_er(n, 1.0 - prob, seed)
     dense = AdjacencyGraph(n)
     for u in range(n):
         for v in range(u + 1, n):
@@ -412,12 +405,12 @@ def set_graph_phase_record(n, prob, side, trial_index, seed):
     rec = {col: None for col in RECORD_COLUMNS}
     rec.update(n=n, p=prob, trial_index=trial_index, seed=seed)
     if side == "sparse":
-        g = sample_er(GraphParams(n=n, p=prob, seed=seed))
+        g = sample_er(n, prob, seed)
         rec["max_degree"] = g.max_degree()
         rec["dominated_pairs"] = count_dominated_pairs(g)
         rec["has_universal"] = has_universal_vertex(g)
     else:
-        comp = sample_er(GraphParams(n=n, p=1.0 - prob, seed=seed))
+        comp = sample_er(n, 1.0 - prob, seed)
         rec["max_degree"] = n - 1 - min(comp.degree(v) for v in comp.alive_ids())
         rec["universal_count"] = comp.alive_count() - comp.non_isolated_count()
         rec["has_universal"] = rec["universal_count"] > 0
@@ -613,6 +606,15 @@ def test_refusals_come_before_any_trial(monkeypatch, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+    for argv, message in (
+        ("collapse --n 10 --c 11 --t 1", "c=11.0 exceeds n=10, giving p=1.1 > 1"),
+        ("collapse --n 0 --c 1.5 --t 1", "vertex count must be positive for c-form, got 0"),
+        ("collapse --c -1 --t 1", "mean-degree constant must be >= 0, got -1.0"),
+        ("collapse --c nan --t 1", "mean-degree constant must be >= 0, got nan"),
+        ("sweep-c --c-grid 1.5,-1 --t 1", "mean-degree constant must be >= 0, got -1.0"),
+        ("collapse --c 1.5 --threads 0", "thread count must be >= 1, got 0"),
+    ):
+        assert run_main(argv.split(), capsys) == (2, "", f"error: {message}\n"), argv
 
 
 def test_unwritable_out_is_refused_before_any_trial(monkeypatch, capsys, tmp_path):
@@ -627,6 +629,9 @@ def test_unwritable_out_is_refused_before_any_trial(monkeypatch, capsys, tmp_pat
         code, _, err = run_main(common + ["--threads", "1", "--out", out], capsys)
         assert code == 1, out
         assert err.startswith(f"error: cannot write {out}"), out
+    # the --out check comes before the --threads check
+    code, _, err = run_main(common + ["--threads", "0", "--out", "/nonexistent/dir/x.csv"], capsys)
+    assert code == 1 and err.startswith("error: cannot write"), err
     # a usage error after the check leaves no file behind
     fresh = tmp_path / "fresh.csv"
     code, _, _ = run_main(["collapse", "--c", "1.0000001", "--out", str(fresh)], capsys)
@@ -655,13 +660,12 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     tasks = list(range(-50, 50))
     assert cli._run_tasks(abs, tasks, 4096) == [abs(x) for x in tasks]
     assert cli._run_tasks(abs, tasks, 2) == [abs(x) for x in tasks]
-    assert resolve_threads(None) == 3
+    cli._run_tasks(abs, tasks, None)  # no --threads: the usable CPUs
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     cli._run_tasks(abs, tasks, 4096)
-    assert resolve_threads(None) == 5
-    assert asked == [3, 2, 5]
-    assert resolve_threads(4096) == 4096  # the flag itself is kept; only the pool is capped
+    cli._run_tasks(abs, tasks, None)
+    assert asked == [3, 2, 3, 5, 5]
 
 
 def test_cli_import_leaves_mpmath_unloaded():
@@ -675,11 +679,11 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert done.stdout == "False False\n"
 
 
-def test_resolve_threads():
-    assert resolve_threads(3) == 3
-    assert resolve_threads(None) >= 1
-    with pytest.raises(ValueError):
-        resolve_threads(0)
+def test_collapse_rejects_threads_below_one(capsys):
+    # main checks --threads before the subcommand checks its point (c < 0 here)
+    code, out, err = run_main(["collapse", "--c", "-1", "--threads", "0"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: thread count must be >= 1, got 0\n"
 
 
 def test_tree_rejects_threads_below_one(capsys):

@@ -38,7 +38,6 @@ from collapse_lab.collapse_engine import (
 )
 from collapse_lab.graph_core import (
     AdjacencyGraph,
-    GraphParams,
     mix_seed,
     rng_from_seed,
     sample_edges,
@@ -115,9 +114,9 @@ def test_is_dominated_equals_neighbor_containment(case):
     n, edges = case
     g = graph(n, [(u, v) for u, v in edges if u != v])
     for v in g.alive_ids():
-        expect = any(is_closed_nbhd_subset(g, v, w) for w in g.neighbors(v))
+        expect = any(is_closed_nbhd_subset(g, v, w) for w in g.neighbor_view(v))
         assert bool(_dominators(g._adj, v)) == expect
-        dominators = [w for w in g.neighbors(v) if is_closed_nbhd_subset(g, v, w)]
+        dominators = sorted(w for w in g.neighbor_view(v) if is_closed_nbhd_subset(g, v, w))
         assert sorted(_dominators(g._adj, v)) == dominators
 
 
@@ -189,7 +188,7 @@ def rescan_phases(g, t=None, order_rng=None):
 def test_phase_loop_matches_full_rescan(n, p):
     cut_short = 0
     for k in range(20):
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(144, k)))
+        g = sample_er(n, p, mix_seed(144, k))
         a, b = g.copy(), g.copy()
         assert run_core(a).phases == rescan_phases(b)
         assert sorted(a.edges()) == sorted(b.edges())
@@ -217,7 +216,7 @@ def test_phase_loop_matches_full_rescan_on_small_graphs(case):
 
 def test_run_core_random_order_matches_full_rescan():
     for k in range(40):
-        g = sample_er(GraphParams(n=50, p=0.06, seed=mix_seed(155, k)))
+        g = sample_er(50, 0.06, mix_seed(155, k))
         seed = mix_seed(166, k)
         a, b = g.copy(), g.copy()
         trace = run_core(a, order_rng=rng_from_seed(seed))
@@ -263,7 +262,7 @@ def test_run_core_disjoint_union():
 
 def test_trace_reports_are_consistent():
     for k in range(12):
-        g = sample_er(GraphParams(n=80, p=0.05, seed=mix_seed(66, k)))
+        g = sample_er(80, 0.05, mix_seed(66, k))
         trace = run_core(g)
         f0 = trace.initial_f0
         for ph in trace.phases:
@@ -281,11 +280,11 @@ def test_trace_reports_are_consistent():
 def test_newly_dominated_matches_global_rescan():
     """Locality claim: deleting b changes domination status only inside N(b)."""
     for k in range(20):
-        g = sample_er(GraphParams(n=40, p=0.08, seed=mix_seed(77, k)))
+        g = sample_er(40, 0.08, mix_seed(77, k))
         for b in list(g.alive_ids())[::5]:
             h = g.copy()
             before = set(dominated_set(h))
-            nb = set(h.neighbors(b))
+            nb = set(h.neighbor_view(b))
             h.remove_vertex(b)
             assert set(dominated_set(h)) ^ (before - {b}) <= nb
 
@@ -308,7 +307,7 @@ def test_run_epoch2_triangle():
 
 
 def test_epoch2_trace_invariants_and_json():
-    g = sample_er(GraphParams(n=50, p=0.06, seed=4))
+    g = sample_er(50, 0.06, 4)
     trace = run_epoch2(g, rng_from_seed(2))
     assert trace.steps == len(trace.removed) == len(trace.y_values)
     assert all(y >= 0 for y in trace.y_values)
@@ -332,7 +331,7 @@ def naive_epoch2(g, rng):
 def test_run_epoch2_matches_full_rescan():
     for k in range(30):
         seed = mix_seed(88, k)
-        g = sample_er(GraphParams(n=45, p=0.055, seed=seed))
+        g = sample_er(45, 0.055, seed)
         a = g.copy()
         b = g.copy()
         trace = run_epoch2(a, rng_from_seed(seed))
@@ -375,7 +374,7 @@ def test_bounded_draws_refuse_bounds_outside_32_bits():
 def test_epoch2_removal_log_is_pinned():
     # trial 0 of `collapse --n 50000 --c 1.5 --t 0 --seed 0`, seeded as the CLI seeds it
     seed = mix_seed(0, 0)
-    g = sample_er(GraphParams.from_c(n=50_000, c=1.5, seed=seed))
+    g = sample_er(50_000, 1.5 / 50_000, seed)
     _, _, e2 = run_trial(g, 0, rng_from_seed(mix_seed(seed, 1)))
     digest = hashlib.sha256(json.dumps([e2.removed, e2.y_values]).encode()).hexdigest()
     assert e2.steps == 24_633
@@ -388,7 +387,7 @@ def test_epoch2_removal_log_is_pinned():
 def subset_scan(g):
     """Literal reference for _scan: ordered pairs and dominated vertices by containment."""
     per_vertex = {
-        u: sum(1 for w in g.neighbors(u) if is_closed_nbhd_subset(g, u, w))
+        u: sum(1 for w in g.neighbor_view(u) if is_closed_nbhd_subset(g, u, w))
         for u in g.alive_ids()
     }
     return sum(per_vertex.values()), [u for u, k in per_vertex.items() if k]
@@ -397,7 +396,7 @@ def subset_scan(g):
 def test_scan_matches_pair_count_and_dominated_set():
     for k in range(30):
         n, p = 10 + 7 * (k % 5), (0.05, 0.1, 0.2)[k % 3]
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(177, k)))
+        g = sample_er(n, p, mix_seed(177, k))
         if k % 2:
             for v in range(0, n, 4):
                 g.remove_vertex(v)
@@ -427,9 +426,9 @@ def edge_arrays(g):
 def test_scan_edges_matches_scan_on_sampled_graphs():
     for n in range(71):
         for k, p in enumerate((0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 0.95, 1.0)):
-            params = GraphParams(n=n, p=p, seed=mix_seed(231, 10 * n + k))
-            g = sample_er(params)
-            assert scan_edges(n, *sample_edges(params)) == _scan(g) == subset_scan(g), (n, p)
+            seed = mix_seed(231, 10 * n + k)
+            g = sample_er(n, p, seed)
+            assert scan_edges(n, *sample_edges(n, p, seed)) == _scan(g) == subset_scan(g), (n, p)
 
 
 @settings(deadline=None)
@@ -454,7 +453,7 @@ def test_scan_edges_verifies_what_its_filter_passes():
 
 
 def test_scan_edges_takes_either_orientation():
-    g = sample_er(GraphParams(n=40, p=0.2, seed=mix_seed(232, 0)))
+    g = sample_er(40, 0.2, mix_seed(232, 0))
     us, vs = edge_arrays(g)
     flip = np.arange(len(us)) % 2 == 1
     assert scan_edges(40, np.where(flip, vs, us), np.where(flip, us, vs)) == _scan(g)
@@ -465,13 +464,13 @@ def test_scan_edges_in_small_blocks_matches_scan(monkeypatch):
     monkeypatch.setattr("collapse_lab.collapse_engine._VERIFY_BLOCK", 5)
     for k, p in enumerate((0.05, 0.2, 0.5, 0.9, 1.0)):
         for n in (2, 9, 30, 60):
-            params = GraphParams(n=n, p=p, seed=mix_seed(233, 10 * n + k))
-            assert scan_edges(n, *sample_edges(params)) == _scan(sample_er(params)), (n, p)
+            seed = mix_seed(233, 10 * n + k)
+            assert scan_edges(n, *sample_edges(n, p, seed)) == _scan(sample_er(n, p, seed)), (n, p)
 
 
 def test_scan_edges_memory_on_a_complete_graph():
     # verification looks up n^3 entries on K_n: 3.3 million on K_150, some 160 MB at once
-    us, vs = sample_edges(GraphParams(n=150, p=1.0, seed=0))
+    us, vs = sample_edges(150, 1.0, 0)
     tracemalloc.start()
     try:
         result = scan_edges(150, us, vs)
@@ -484,7 +483,7 @@ def test_scan_edges_memory_on_a_complete_graph():
 
 def test_phases_hand_over_the_dominated_set():
     for k in range(20):
-        g = sample_er(GraphParams(n=60, p=(0.02, 0.05, 0.1)[k % 3], seed=mix_seed(188, k)))
+        g = sample_er(60, (0.02, 0.05, 0.1)[k % 3], mix_seed(188, k))
         for t in (0, 1, 2, 5):
             h = g.copy()
             _, pool = _run_phases(h, t, None, dominated_set(h))
@@ -509,7 +508,7 @@ def test_run_trial_matches_the_full_scan_composition():
     stepped = 0
     for k in range(25):
         seed = mix_seed(199, k)
-        g = sample_er(GraphParams.from_c(n=300, c=(1.5, 3.0)[k % 2], seed=seed))
+        g = sample_er(300, (1.5, 3.0)[k % 2] / 300, seed)
         t = budgets[k % len(budgets)]
         a, b = g.copy(), g.copy()
         pairs, trace, e2 = run_trial(a, t, rng_from_seed(seed))
@@ -523,7 +522,7 @@ def test_run_trial_matches_the_full_scan_composition():
 
 
 def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
-    g = sample_er(GraphParams.from_c(n=300, c=1.5, seed=mix_seed(211, 0)))
+    g = sample_er(300, 1.5 / 300, mix_seed(211, 0))
     walks = []
     alive_ids = AdjacencyGraph.alive_ids
     monkeypatch.setattr(
@@ -538,7 +537,7 @@ def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
 
 def test_each_removal_preserves_euler_characteristic():
     for k in range(10):
-        g = sample_er(GraphParams(n=14, p=0.3, seed=mix_seed(99, k)))
+        g = sample_er(14, 0.3, mix_seed(99, k))
         while True:
             pool = dominated_set(g)
             if not pool:
@@ -574,7 +573,7 @@ def test_core_is_order_independent_up_to_isomorphism():
     # also the theorem core <= 2-core: a leaf is dominated, so every core's
     # non-isolated part has minimum degree >= 2, whatever the order
     for k in range(12):
-        g = sample_er(GraphParams(n=70, p=0.04, seed=mix_seed(111, k)))
+        g = sample_er(70, 0.04, mix_seed(111, k))
         nx_graph = nx.Graph(g.edges())
         nx_graph.add_nodes_from(g.alive_ids())
         core2 = two_core(g)
@@ -609,7 +608,7 @@ def test_true_twins_make_the_surviving_set_order_dependent():
 
 
 def test_f0_after_tracks_live_count_during_phases():
-    g = sample_er(GraphParams(n=120, p=0.03, seed=13))
+    g = sample_er(120, 0.03, 13)
     trace = run_epoch1(g, 4)
     assert trace.phases[-1].f0_after == g.non_isolated_count()
     f0s = [trace.initial_f0] + [ph.f0_after for ph in trace.phases]
@@ -634,7 +633,7 @@ def prune_to_core_against_recount(g):
 def test_f0_after_is_a_recount_at_every_phase():
     for k in range(20):
         p = (0.02, 0.05, 0.1)[k % 3]
-        prune_to_core_against_recount(sample_er(GraphParams(n=80, p=p, seed=mix_seed(244, k))))
+        prune_to_core_against_recount(sample_er(80, p, mix_seed(244, k)))
     for g in (triangle(), star(6), cycle(4), complete(5)):
         prune_to_core_against_recount(g)
 
@@ -649,7 +648,7 @@ def test_f0_after_is_a_recount_on_small_graphs(case):
 
 
 def test_run_epoch1_counts_f0_once(monkeypatch):
-    g = sample_er(GraphParams.from_c(n=300, c=1.5, seed=mix_seed(211, 0)))
+    g = sample_er(300, 1.5 / 300, mix_seed(211, 0))
     calls = []
     count = AdjacencyGraph.non_isolated_count
     monkeypatch.setattr(
@@ -672,7 +671,7 @@ def test_count_dominated_pairs_examples():
 
 def test_count_dominated_pairs_matches_subset_scan():
     for k in range(15):
-        g = sample_er(GraphParams(n=25, p=0.15, seed=mix_seed(133, k)))
+        g = sample_er(25, 0.15, mix_seed(133, k))
         alive = list(g.alive_ids())
         brute = sum(
             1
@@ -698,7 +697,7 @@ def test_has_universal_vertex():
     # seeded ER graphs, half of them with removals, against the literal definition
     for k in range(160):
         n, p = 1 + k % 8, (0.0, 0.3, 0.7, 0.95, 1.0)[k % 5]
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(443, k)))
+        g = sample_er(n, p, mix_seed(443, k))
         if k // 40 % 2:
             for v in range(0, n, 3):
                 g.remove_vertex(v)

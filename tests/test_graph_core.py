@@ -9,7 +9,6 @@ import pytest
 
 from collapse_lab.graph_core import (
     AdjacencyGraph,
-    GraphParams,
     _pair_index_to_uv,
     mix_seed,
     random_rows,
@@ -64,31 +63,21 @@ def test_random_rows_replay_fresh_generators():
         random_rows(seeds[:3], out[:2])
 
 
-# -- GraphParams ---------------------------------------------------------------
+# -- sampler inputs --------------------------------------------------------------
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        GraphParams(n=-1, p=0.5, seed=1)
-    with pytest.raises(ValueError):
-        GraphParams(n=5, p=-0.1, seed=1)
-    with pytest.raises(ValueError):
-        GraphParams(n=5, p=1.5, seed=1)
-    with pytest.raises(ValueError):
-        GraphParams.from_c(n=10, c=11.0, seed=1)  # p = 1.1
-
-
-def test_from_c_sets_p():
-    params = GraphParams.from_c(n=1000, c=1.5, seed=3)
-    assert params.p == 1.5 / 1000
-    assert params.n == 1000
+    with pytest.raises(ValueError, match="vertex count must be >= 0"):
+        sample_edges(-1, 0.5, 1)
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="edge probability must lie in"):
+            sample_edges(5, p, 1)
 
 
 def test_seed_masked_to_64_bits():
-    a = GraphParams(n=5, p=0.5, seed=2**70 + 5)
-    b = GraphParams(n=5, p=0.5, seed=(2**70 + 5) % 2**64)
-    assert a.seed == b.seed
-    assert sorted(sample_er(a).edges()) == sorted(sample_er(b).edges())
+    a = sample_er(5, 0.5, 2**70 + 5)
+    b = sample_er(5, 0.5, (2**70 + 5) % 2**64)
+    assert sorted(a.edges()) == sorted(b.edges())
 
 
 # -- adjacency structure ---------------------------------------------------------
@@ -103,7 +92,7 @@ def test_basic_accessors():
     assert g.alive_count() == 3
     assert g.non_isolated_count() == 3
     assert g.degree(0) == 2
-    assert g.neighbors(0) == [1, 2]
+    assert g.neighbor_view(0) == {1, 2}
     assert g.edge_count() == 3
     assert g.max_degree() == 2
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 2)]
@@ -136,7 +125,7 @@ def test_dead_vertex_access_raises():
     with pytest.raises(ValueError):
         g.degree(1)
     with pytest.raises(ValueError):
-        g.neighbors(1)
+        g.neighbor_view(1)
     with pytest.raises(ValueError):
         g.remove_vertex(1)
 
@@ -165,7 +154,7 @@ def test_copy_is_independent():
 def test_non_isolated_matches_recount_under_deletions():
     rng = rng_from_seed(17)
     for trial in range(10):
-        g = sample_er(GraphParams(n=60, p=0.08, seed=mix_seed(900, trial)))
+        g = sample_er(60, 0.08, mix_seed(900, trial))
         alive = list(g.alive_ids())
         order = rng.permutation(len(alive))
         for j in order[:40]:
@@ -254,12 +243,12 @@ def test_pair_index_past_the_last_pair_raises():
 
 
 def test_sample_deterministic_and_frozen():
-    g = sample_er(GraphParams(n=10, p=0.3, seed=12345))
+    g = sample_er(10, 0.3, 12345)
     assert sorted(g.edges()) == [
         (0, 1), (0, 3), (0, 8), (1, 4), (1, 6), (1, 8),
         (2, 4), (2, 5), (2, 9), (4, 6), (4, 7), (6, 9),
     ]
-    g2 = sample_er(GraphParams(n=6, p=0.5, seed=777))
+    g2 = sample_er(6, 0.5, 777)
     assert sorted(g2.edges()) == [
         (0, 2), (0, 3), (0, 5), (2, 3), (2, 4), (2, 5), (3, 5),
     ]
@@ -269,10 +258,9 @@ def test_sample_edges_is_the_sampled_graph():
     cases = [(10, 0.3, 12345), (6, 0.5, 777), (0, 0.5, 1), (1, 0.5, 1), (2, 1.0, 3),
              (20, 0.0, 1), (20, 1.0, 1), (200, 0.04, 31)]
     for n, p, seed in cases:
-        params = GraphParams(n=n, p=p, seed=seed)
-        us, vs = sample_edges(params)
+        us, vs = sample_edges(n, p, seed)
         assert us.dtype == vs.dtype == np.int64
-        assert list(zip(us.tolist(), vs.tolist())) == list(sample_er(params).edges())
+        assert list(zip(us.tolist(), vs.tolist())) == list(sample_er(n, p, seed).edges())
 
 
 def test_sample_edges_tiny_p_gives_no_edge_and_no_warning():
@@ -280,15 +268,14 @@ def test_sample_edges_tiny_p_gives_no_edge_and_no_warning():
     for p in (1e-18, 1e-300, 5e-324):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            us, vs = sample_edges(GraphParams(n=10, p=p, seed=1))
+            us, vs = sample_edges(10, p, 1)
         assert us.size == vs.size == 0
 
 
-def test_sample_adjacency_is_symmetric_and_sorted():
-    g = sample_er(GraphParams(n=200, p=0.04, seed=31))
+def test_sample_adjacency_is_symmetric():
+    g = sample_er(200, 0.04, 31)
     for v in g.alive_ids():
-        nbrs = g.neighbors(v)
-        assert nbrs == sorted(nbrs)
+        nbrs = g.neighbor_view(v)
         assert v not in nbrs
         for w in nbrs:
             assert v in g.neighbor_view(w)
@@ -296,16 +283,16 @@ def test_sample_adjacency_is_symmetric_and_sorted():
 
 def test_handshake():
     for seed in range(5):
-        g = sample_er(GraphParams(n=300, p=0.02, seed=seed))
+        g = sample_er(300, 0.02, seed)
         assert sum(g.degree(v) for v in g.alive_ids()) == 2 * g.edge_count()
 
 
 def test_degenerate_probabilities():
-    empty = sample_er(GraphParams(n=20, p=0.0, seed=1))
+    empty = sample_er(20, 0.0, 1)
     assert empty.edge_count() == 0
     assert empty.non_isolated_count() == 0
-    full_a = sample_er(GraphParams(n=20, p=1.0, seed=1))
-    full_b = sample_er(GraphParams(n=20, p=1.0, seed=999))
+    full_a = sample_er(20, 1.0, 1)
+    full_b = sample_er(20, 1.0, 999)
     assert full_a.edge_count() == 20 * 19 // 2
     assert sorted(full_a.edges()) == sorted(full_b.edges())
 
@@ -315,7 +302,7 @@ def test_mean_edge_count_sparse():
     n, p, seeds = 10_000, 1.5e-4, 100
     pairs = n * (n - 1) // 2
     counts = [
-        sample_er(GraphParams(n=n, p=p, seed=mix_seed(7000, i))).edge_count()
+        sample_er(n, p, mix_seed(7000, i)).edge_count()
         for i in range(seeds)
     ]
     mean = sum(counts) / seeds
@@ -333,7 +320,7 @@ def test_edge_position_uniformity():
     n, p, seeds = 2000, 1.5e-3, 100
     us, vs = [], []
     for i in range(seeds):
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(8000, i)))
+        g = sample_er(n, p, mix_seed(8000, i))
         for u, v in g.edges():
             us.append(u)
             vs.append(v)
@@ -350,7 +337,7 @@ def test_edge_frequency_aggregate():
     watched = [(0, 1), (0, n - 1), (n - 2, n - 1), (13, 29)]
     hits = {e: 0 for e in watched}
     for i in range(seeds):
-        g = sample_er(GraphParams(n=n, p=p, seed=mix_seed(8100, i)))
+        g = sample_er(n, p, mix_seed(8100, i))
         for e in watched:
             if e[1] in g.neighbor_view(e[0]):
                 hits[e] += 1

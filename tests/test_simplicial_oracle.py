@@ -5,7 +5,7 @@ import math
 import pytest
 
 from collapse_lab.collapse_engine import find_dominator
-from collapse_lab.graph_core import AdjacencyGraph, GraphParams, mix_seed, sample_er
+from collapse_lab.graph_core import AdjacencyGraph, mix_seed, sample_er
 from collapse_lab.simplicial_oracle import (
     clique_census,
     euler_characteristic,
@@ -105,7 +105,6 @@ def test_link_domination_path_and_isolated():
 def test_link_agrees_with_containment_engine():
     """The two domination definitions must coincide vertexwise."""
     for k in range(30):
-        params = GraphParams(n=5 + k % 12, p=0.2 + 0.04 * (k % 12), seed=mix_seed(55, k))
-        g = sample_er(params)
+        g = sample_er(5 + k % 12, 0.2 + 0.04 * (k % 12), mix_seed(55, k))
         for v in g.alive_ids():
             assert is_dominated_via_link(g, v) == (find_dominator(g, v) is not None)

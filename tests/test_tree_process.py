@@ -72,8 +72,6 @@ def test_poisson_cdf_table():
     assert cdf[0] == pytest.approx(math.exp(-1.5), rel=1e-14)
     assert np.all(np.diff(cdf) > 0)
     assert cdf[-1] >= 1.0 - 1e-15
-    assert not cdf.flags.writeable
-    assert _poisson_cdf(1.5) is cdf  # cached
     with pytest.raises(ValueError):
         _poisson_cdf(-0.5)
 

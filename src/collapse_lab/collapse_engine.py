@@ -22,7 +22,10 @@ on the sampled arrays.  Collapse trials keep `_scan`, which is also
 takes about a third of `_scan`'s time at n = 5*10^4, c = 1.5 (some 20 ms
 against 60 ms), but a collapse trial needs the set graph for its deletions
 anyway, and keeping the arrays and the scan's temporaries beside it raised
-the peak RSS of four trials at that size by 3.5-10%.
+the peak RSS of four trials at that size by 3.5-10%.  That holds also when
+the array scan runs first, before the sets are built: the same four trials
+then peaked 9-10% higher (48.0 to 52.9 MB, and 52.6 to 57.2 MB at t = 0), to
+save some 0.08 s of wall time at the default t.
 
 Epoch 1 runs pruning phases, all in one loop, `_run_phases`.  A phase walks
 a snapshot of the dominated set in ascending id order, re-verifies each vertex
@@ -47,7 +50,7 @@ Epoch 2 removes one uniformly chosen dominated vertex at a time, logging for
 each step the number of vertices that became dominated because of that single
 deletion (the Y_i statistic).  The choice is the index numpy's
 `rng.integers(len(pool))` would give into the ascending dominated pool; the
-rule that draws it is stated in `_bounded_draws`.
+rule that draws it is stated in `graph_core.bounded_draws`.
 
 Locality fact used throughout: deleting b can only change the domination
 status of b's neighbors.  For any v outside N[b], N[v] is untouched and every
@@ -60,12 +63,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import AdjacencyGraph
+from .graph_core import AdjacencyGraph, bounded_draws
 
 _VERIFY_BLOCK = 2**20  # lookups per `scan_edges` verification block, about 50 MB at peak
 
@@ -297,49 +299,11 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 # -- epoch 2: one uniform dominated vertex at a time --------------------------
 
 
-_WORDS = 1024  # 32-bit words per numpy call
-_MASK32 = 0xFFFFFFFF
-
-
-def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
-    """Return `below(k)`, which gives the value `int(rng.integers(k))` would give.
-
-    For 1 <= k <= 2^32 numpy draws `integers(k)` from its 32-bit stream by
-    Lemire's multiply-and-reject rule (D. Lemire, "Fast Random Integer
-    Generation in an Interval", ACM TOMACS 2019): m = w*k for the next word w,
-    drawn again while m mod 2^32 < (2^32 - k) mod k, and the value is m >> 32;
-    k = 1 gives 0 and takes no word.  Above 2^32 numpy switches to 64-bit
-    words, so such a k raises, as does k < 1.  `integers(0, 2**32,
-    dtype=np.uint32)` returns the same 32-bit stream in order, a half-word the
-    generator already holds first, so the rule applied here gives numpy's
-    values at one numpy call per 1024 words.  `words` fetches a batch only
-    when the last is used up, so the generator ends advanced by whole batches.
-    """
-
-    def fetch() -> list[int]:
-        return rng.integers(0, 2**32, size=_WORDS, dtype=np.uint32).tolist()
-
-    words = itertools.chain.from_iterable(iter(fetch, None))
-
-    def below(k: int) -> int:
-        if not 1 <= k <= 2**32:
-            raise ValueError(f"bound must lie in [1, 2^32], got {k}")
-        if k == 1:
-            return 0
-        threshold = (2**32 - k) % k
-        for w in words:
-            m = w * k
-            if m & _MASK32 >= threshold:
-                return m >> 32
-
-    return below
-
-
 def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
     """Epoch 2 from `pool`, which must be the dominated set of g, ascending."""
     removed: list[int] = []
     y_values: list[int] = []
-    below = _bounded_draws(rng)
+    below = bounded_draws(rng)
     adj = g._adj
     while pool:
         idx = below(len(pool))
@@ -374,7 +338,7 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
     newly dominated.  The pool is kept sorted and updated incrementally (only
     the removed vertex's neighbors can change status), which matches a full
     rescan-and-choose loop decision for decision.  The index is drawn by
-    `_bounded_draws`' rule, which leaves `rng` advanced in whole batches.
+    `bounded_draws`' rule, which leaves `rng` advanced in whole batches.
     """
     return _epoch2(g, rng, dominated_set(g))
 
@@ -386,7 +350,7 @@ def run_trial(
 
     Gives the same values as those three calls in turn: the scan's dominated
     set is phase 1's snapshot, and the set the phases leave is epoch 2's pool.
-    Epoch 2 draws by `_bounded_draws`' rule, as in `run_epoch2`.
+    Epoch 2 draws by `bounded_draws`' rule, as in `run_epoch2`.
     """
     pairs, snapshot = _scan(g)
     trace, pool = _run_phases(g, t, None, snapshot)

@@ -114,15 +114,12 @@ def _csv_table(records: list[dict], columns: list[str]) -> str:
 
 
 def _emit_records(records: list[dict], columns: list[str], args) -> None:
+    """Write `columns` of each record; a column the record lacks is an empty cell or null."""
     if args.format == "json":
         body = [{col: r.get(col) for col in columns} for r in records]
         _write_text(json.dumps(body) + "\n", args.out)
         return
     _write_text(_csv_table(records, columns), args.out)
-
-
-def _blank_record() -> dict:
-    return {col: None for col in RECORD_COLUMNS}
 
 
 # -- per-trial workers (top level so process pools can pickle them) ------------
@@ -137,13 +134,7 @@ def _collapse_trial(task: tuple) -> tuple[dict, Counter]:
     t0 = time.perf_counter()
     p = c / n
     g = sample_er(n, p, trial_seed)
-    rec = _blank_record()
-    rec["n"] = n
-    rec["c"] = float(c)
-    rec["p"] = p
-    rec["t"] = t
-    rec["trial_index"] = trial_index
-    rec["seed"] = trial_seed
+    rec = {"n": n, "c": float(c), "p": p, "t": t, "trial_index": trial_index, "seed": trial_seed}
     rec["max_degree"] = g.max_degree()
     rec["has_universal"] = engine.is_universal_degree(n, rec["max_degree"])
     pairs, trace, e2 = engine.run_trial(g, t, rng_from_seed(mix_seed(trial_seed, 1)))
@@ -167,11 +158,7 @@ def _phase_trial(task: tuple) -> dict:
     """
     n, prob, side, trial_index, trial_seed = task
     t0 = time.perf_counter()
-    rec = _blank_record()
-    rec["n"] = n
-    rec["p"] = prob
-    rec["trial_index"] = trial_index
-    rec["seed"] = trial_seed
+    rec = {"n": n, "p": prob, "trial_index": trial_index, "seed": trial_seed}
     edge_prob = prob if side == "sparse" else 1.0 - prob
     us, vs = sample_edges(n, edge_prob, trial_seed)
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
@@ -246,7 +233,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    t = args.t if args.t is not None else theory.rounds_for_epsilon(args.c, 0.01)
+    rounds = theory.rounds_for_epsilon(args.c, 0.01)
+    t = rounds if args.t is None else args.t
     bounds = theory.epsilon_bounds(args.c, t, paper_constants=args.paper_constants)
     row = {
         "c": float(args.c),
@@ -260,7 +248,6 @@ def cmd_predict(args) -> int:
         "eps_upper": bounds.eps_upper,
     }
     _emit_records([row], list(row), args)
-    rounds = t if args.t is None else theory.rounds_for_epsilon(args.c, 0.01)
     _say(f"rounds_for_epsilon(c, 0.01)={rounds}")
     return 0
 
@@ -411,7 +398,6 @@ def cmd_phase_transition(args) -> int:
         raise ValueError(f"edge probability {prob!r} is outside [0, 1]")
     tasks = [(args.n, prob, args.side, i, mix_seed(args.seed, i)) for i in range(args.trials)]
     records = _run_tasks(_phase_trial, tasks, args.threads)
-    universal_counts = [r.pop("universal_count", None) for r in records]
     _emit_records(records, RECORD_COLUMNS, args)
     if args.side == "sparse":
         pair_counts = [r["dominated_pairs"] for r in records]
@@ -422,7 +408,7 @@ def cmd_phase_transition(args) -> int:
         _say(f"mean_ordered_pairs={mean_pairs!r} expected_ordered_pairs={expected!r}")
     else:
         have = sum(1 for r in records if r["has_universal"])
-        mean_univ = sum(universal_counts) / len(universal_counts)
+        mean_univ = sum(r["universal_count"] for r in records) / len(records)
         expected = theory.expected_universal_vertices(args.n, prob)
         _say(f"p={prob!r} frac_with_universal={have / len(records)!r}")
         _say(f"mean_universal={mean_univ!r} expected_universal={expected!r}")

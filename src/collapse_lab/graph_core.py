@@ -1,16 +1,20 @@
 """Sparse undirected graphs with tombstone deletion and a seeded Erdos-Renyi sampler.
 
-Vertices are integer ids in [0, n).  Removing a vertex marks it dead and strips
-it from its neighbors' adjacency; ids are never reused, so removal logs stay
-stable across arbitrarily long deletion sequences.
+Vertices are integer ids in [0, n).  A graph's edges come from its
+constructor; after that it only loses vertices.  Removing a vertex marks it
+dead and strips it from its neighbors' adjacency; ids are never reused, so
+removal logs stay stable across arbitrarily long deletion sequences.
 
 Reproducibility contract (stated here and in the README so another
-implementation can replicate streams exactly):
+implementation can replicate streams exactly); every rule that must match
+numpy's generator bit for bit lives in this module:
 
-* generator: NumPy ``PCG64``, instantiated as ``Generator(PCG64(seed))``.
+* generator: NumPy ``PCG64``, instantiated as ``Generator(PCG64(seed))``;
+  ``random_rows`` gives the same streams for many seeds at once.
 * per-trial derivation: ``trial_seed = mix_seed(base_seed, trial_index)``
   where ``mix_seed`` adds ``trial_index * 0x9E3779B97F4A7C15`` mod 2^64 and
   applies the splitmix64 finalizer (shift-xor-multiply chain below).
+* bounded integers: ``bounded_draws(rng)(k)`` is ``int(rng.integers(k))``.
 * edge sampling: vertex pairs (u, v) with u < v are enumerated in row-major
   order; consecutive uniform draws U map to geometric gaps
   ``floor(log1p(-U) / log1p(-p))`` and the pairs landed on become edges.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable
 from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
@@ -98,31 +103,72 @@ def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
         rng.random(out=row)
 
 
+_WORDS = 1024  # 32-bit words per numpy call
+_MASK32 = 0xFFFFFFFF
+
+
+def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """Return `below(k)`, which gives the value `int(rng.integers(k))` would give.
+
+    For 1 <= k <= 2^32 numpy draws `integers(k)` from its 32-bit stream by
+    Lemire's multiply-and-reject rule (D. Lemire, "Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019): m = w*k for the next word w,
+    drawn again while m mod 2^32 < (2^32 - k) mod k, and the value is m >> 32;
+    k = 1 gives 0 and takes no word.  Above 2^32 numpy switches to 64-bit
+    words, so such a k raises, as does k < 1.  `integers(0, 2**32,
+    dtype=np.uint32)` returns the same 32-bit stream in order, a half-word the
+    generator already holds first, so the rule applied here gives numpy's
+    values at one numpy call per 1024 words.  `words` fetches a batch only
+    when the last is used up, so the generator ends advanced by whole batches.
+    """
+
+    def fetch() -> list[int]:
+        return rng.integers(0, 2**32, size=_WORDS, dtype=np.uint32).tolist()
+
+    words = itertools.chain.from_iterable(iter(fetch, None))
+
+    def below(k: int) -> int:
+        if not 1 <= k <= 2**32:
+            raise ValueError(f"bound must lie in [1, 2^32], got {k}")
+        if k == 1:
+            return 0
+        threshold = (2**32 - k) % k
+        for w in words:
+            m = w * k
+            if m & _MASK32 >= threshold:
+                return m >> 32
+
+    return below
+
+
 class AdjacencyGraph:
     """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
 
-    The sets and the flags are all it holds: no count is cached.  Neighbor
-    sets hold alive vertices only and stay symmetric under every operation; a
-    removed vertex's set is empty, so `non_isolated_count` counts the
-    non-empty sets.  `alive_count` counts the alive flags.  `neighbor_view`
-    exposes a vertex's internal set for read-only use (do not mutate it).
+    `AdjacencyGraph(n, edges)` refuses an edge with an id outside [0, n) or a
+    self-loop; a repeated edge counts once.  After that the only mutation is
+    `remove_vertex`.  The sets and the flags are all it holds: no count is
+    cached.  Neighbor sets hold alive vertices only and stay symmetric under
+    every operation; a removed vertex's set is empty, so `non_isolated_count`
+    counts the non-empty sets.  `alive_count` counts the alive flags.
+    `neighbor_view` exposes a vertex's internal set for read-only use (do not
+    mutate it).
     """
 
     __slots__ = ("n", "_alive", "_adj")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self.n = n
         self._alive = bytearray([1]) * n
         self._adj: list[set[int]] = [set() for _ in range(n)]
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "AdjacencyGraph":
-        g = cls(n)
         for u, v in edges:
-            g.add_edge(u, v)
-        return g
+            self._require_alive(u)  # every vertex is alive yet: this checks the id range
+            self._require_alive(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} rejected")
+            self._adj[u].add(v)
+            self._adj[v].add(u)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -168,14 +214,6 @@ class AdjacencyGraph:
                     yield (u, v)
 
     # -- mutation -----------------------------------------------------------
-
-    def add_edge(self, u: int, v: int) -> None:
-        self._require_alive(u)
-        self._require_alive(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} rejected")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
 
     def remove_vertex(self, v: int) -> None:
         """Tombstone v and strip it from all neighbor sets."""
@@ -272,6 +310,8 @@ def sample_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_er(n: int, p: float, seed: int) -> AdjacencyGraph:
     """An `AdjacencyGraph` holding the edges of `sample_edges(n, p, seed)`."""
+    # The sets exist before the draw and take the edges unchecked: building them
+    # after it raised the peak RSS, and the constructor's checked insert was slower.
     g = AdjacencyGraph(n)
     adj = g._adj
     us, vs = sample_edges(n, p, seed)

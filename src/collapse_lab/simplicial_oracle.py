@@ -1,9 +1,10 @@
 """Desk-scale brute-force simplicial checks for the clique complex of a graph.
 
 Validation-only machinery: exact clique counts, Euler characteristic, and the
-link-is-a-cone form of vertex domination.  Everything refuses graphs larger
-than `n_limit` (default 30, a deterministic guard rather than a timeout)
-because clique enumeration is exponential in the worst case.
+link-is-a-cone form of vertex domination.  Everything refuses graphs with more
+than `DEFAULT_N_LIMIT` (30) alive vertices, a deterministic guard rather than
+a timeout, because clique enumeration is exponential in the worst case;
+`clique_census` alone takes another limit.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from .graph_core import AdjacencyGraph
 DEFAULT_N_LIMIT = 30
 
 
-def _check_size(g: AdjacencyGraph, n_limit: int) -> None:
+def _check_size(g: AdjacencyGraph, limit: int) -> None:
     alive = g.alive_count()
-    if alive > n_limit:
-        raise ValueError(f"oracle refuses graphs with {alive} alive vertices (limit {n_limit})")
+    if alive > limit:
+        raise ValueError(f"oracle refuses graphs with {alive} alive vertices (limit {limit})")
 
 
 def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> tuple[int, ...]:
@@ -42,12 +43,12 @@ def clique_census(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> tuple[in
     return tuple(f)
 
 
-def euler_characteristic(g: AdjacencyGraph, n_limit: int = DEFAULT_N_LIMIT) -> int:
+def euler_characteristic(g: AdjacencyGraph) -> int:
     """Alternating sum of simplex counts; collapse-invariant audit value."""
-    return sum((-1) ** d * count for d, count in enumerate(clique_census(g, n_limit)))
+    return sum((-1) ** d * count for d, count in enumerate(clique_census(g)))
 
 
-def is_dominated_via_link(g: AdjacencyGraph, v: int, n_limit: int = DEFAULT_N_LIMIT) -> bool:
+def is_dominated_via_link(g: AdjacencyGraph, v: int) -> bool:
     """Domination via the link: does the induced subgraph on N(v) have an apex?
 
     The link of v in a clique complex is the clique complex of the subgraph
@@ -55,7 +56,7 @@ def is_dominated_via_link(g: AdjacencyGraph, v: int, n_limit: int = DEFAULT_N_LI
     to all the others.  Isolated vertices have an empty link, which is not a
     cone.  Must agree with the neighborhood-containment test for every vertex.
     """
-    _check_size(g, n_limit)
+    _check_size(g, DEFAULT_N_LIMIT)
     link = g.neighbor_view(v)
     if not link:
         return False

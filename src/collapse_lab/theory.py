@@ -167,12 +167,17 @@ def epsilon_bounds(c: float, t: int, paper_constants: bool = False) -> RateBound
 
     paper_constants=True swaps in the exp(+c) prefactor variant (see module
     docstring); its lower bounds are numerically false and are exposed only
-    for comparison output.
+    for comparison output.  It raises where exp(c) overflows, above c = 709.78.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     gamma = gamma_fixed_point(c)
-    pref = math.exp(c) if paper_constants else math.exp(-c)
+    try:
+        pref = math.exp(c) if paper_constants else math.exp(-c)
+    except OverflowError:  # only exp(+c) can: gamma_fixed_point has refused c <= 1
+        raise ValueError(
+            f"c={c} too large for paper_constants: exp(c) overflows (c <= 709.78 works)"
+        ) from None
     r_lo = c * math.exp(-c)
     r_hi = c * gamma
     return RateBounds(

@@ -137,7 +137,7 @@ def sample_tree_per_layer(c: float, depth: int, rng: np.random.Generator) -> Poi
 def to_graph(tree: PoissonTree) -> AdjacencyGraph:
     """The same tree as an adjacency graph on vertex ids 0..size-1."""
     edges = [(int(tree.parent[v]), v) for v in range(1, tree.size)]
-    return AdjacencyGraph.from_edges(tree.size, edges)
+    return AdjacencyGraph(tree.size, edges)
 
 
 def root_collapse(tree: PoissonTree, max_steps: int) -> int | None:

@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -162,14 +163,14 @@ GOLDEN_CSV = {
 
 
 def _typed_rows(csv_table: str) -> list[dict]:
-    """One CSV table as the JSON body's row objects: integer cells as int, others float."""
+    """One CSV table as the JSON body's row objects: each cell read as JSON, an empty one as null.
+
+    So integer cells become int, true/false booleans and the other numbers float.
+    """
     header, *lines = csv_table.strip().splitlines()
 
     def typed(cell):
-        try:
-            return int(cell)
-        except ValueError:
-            return float(cell)
+        return json.loads(cell) if cell else None
 
     return [dict(zip(header.split(","), map(typed, line.split(",")))) for line in lines]
 
@@ -237,7 +238,12 @@ def test_trial_command_golden_bodies(command, capsys):
     argv, rows = GOLDEN_TRIAL_CSV[command]
     code, out, _ = run_main(argv + ["--threads", "1"], capsys)
     assert code == 0
-    assert strip_wall_time(out) + "\n" == ",".join(RECORD_COLUMNS[:-1]) + "\n" + rows
+    csv_body = ",".join(RECORD_COLUMNS[:-1]) + "\n" + rows
+    assert strip_wall_time(out) + "\n" == csv_body
+    # the JSON body carries the same cells, a blank one as null; wall_time_ms is the last key
+    code, out, _ = run_main(argv + ["--threads", "1", "--format", "json"], capsys)
+    assert code == 0
+    assert re.sub(r', "wall_time_ms": \d+', "", out) == json.dumps(_typed_rows(csv_body)) + "\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -251,6 +257,18 @@ def test_readme_collapse_example_matches_the_program(capsys):
     assert code == 0
     assert err.splitlines() == [line for line in block if "," not in line]
     assert strip_wall_time(out) == strip_wall_time("\n".join(line for line in block if "," in line))
+
+
+def test_readme_usage_lines_parse():
+    lines = README.read_text().splitlines()
+    start = lines.index("```", lines.index("## Command line usage")) + 1
+    usage = lines[start : lines.index("```", start)]
+    assert usage
+    parser = cli.build_parser()
+    for line in usage:
+        program, *argv = line.split("#")[0].replace("[--hist]", "--hist").split()
+        assert program == "collapse-lab", line
+        parser.parse_args(argv)  # a flag the parser does not know exits here
 
 
 def test_readme_rerun_snippet_matches_its_row(capsys):
@@ -388,11 +406,9 @@ def test_dense_side_matches_explicit_complement():
     n, prob, seed = 30, 0.83, mix_seed(5, 0)
     rec = _phase_trial((n, prob, "dense", 0, seed))
     comp = sample_er(n, 1.0 - prob, seed)
-    dense = AdjacencyGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v not in comp.neighbor_view(u):
-                dense.add_edge(u, v)
+    dense = AdjacencyGraph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if v not in comp.neighbor_view(u)]
+    )
     assert rec["max_degree"] == dense.max_degree()
     assert rec["has_universal"] == has_universal_vertex(dense)
     assert rec["universal_count"] == sum(
@@ -402,8 +418,7 @@ def test_dense_side_matches_explicit_complement():
 
 def set_graph_phase_record(n, prob, side, trial_index, seed):
     """A phase-transition record composed from the set graph, without wall_time_ms."""
-    rec = {col: None for col in RECORD_COLUMNS}
-    rec.update(n=n, p=prob, trial_index=trial_index, seed=seed)
+    rec = {"n": n, "p": prob, "trial_index": trial_index, "seed": seed}
     if side == "sparse":
         g = sample_er(n, prob, seed)
         rec["max_degree"] = g.max_degree()
@@ -414,7 +429,6 @@ def set_graph_phase_record(n, prob, side, trial_index, seed):
         rec["max_degree"] = n - 1 - min(comp.degree(v) for v in comp.alive_ids())
         rec["universal_count"] = comp.alive_count() - comp.non_isolated_count()
         rec["has_universal"] = rec["universal_count"] > 0
-    del rec["wall_time_ms"]
     return rec
 
 
@@ -586,6 +600,10 @@ def test_exit_codes(capsys, tmp_path):
         code, out, err = run_main(argv, capsys)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+    # exp(+c) overflows: the paper-constant bounds are refused, the corrected ones are not
+    code, out, err = run_main(["predict", "--c", "710", "--paper-constants"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     # exp(-c) underflows: the whole graph is predicted to survive
     code, out, _ = run_main(["predict", "--c", "1e12", "--n", "10000"], capsys)
     assert code == 0

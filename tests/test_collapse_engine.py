@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from collapse_lab.collapse_engine import (
     CollapseTrace,
     PhaseReport,
-    _bounded_draws,
     _dominators,
     _run_phases,
     _scan,
@@ -38,6 +37,7 @@ from collapse_lab.collapse_engine import (
 )
 from collapse_lab.graph_core import (
     AdjacencyGraph,
+    bounded_draws,
     mix_seed,
     rng_from_seed,
     sample_edges,
@@ -48,7 +48,7 @@ from references import is_closed_nbhd_subset
 
 
 def graph(n, edges):
-    return AdjacencyGraph.from_edges(n, edges)
+    return AdjacencyGraph(n, edges)
 
 
 def triangle():
@@ -68,10 +68,7 @@ def star(k):
 
 
 def random_tree(n, rng):
-    g = AdjacencyGraph(n)
-    for v in range(1, n):
-        g.add_edge(v, int(rng.integers(v)))
-    return g
+    return AdjacencyGraph(n, [(v, int(rng.integers(v))) for v in range(1, n)])
 
 
 # -- domination primitives ------------------------------------------------------
@@ -349,7 +346,7 @@ def test_bounded_draws_match_numpy_integers():
         a, b = rng_from_seed(mix_seed(61, seed)), rng_from_seed(mix_seed(61, seed))
         if seed % 2:  # both generators now hold the upper half of a 64-bit word
             assert a.integers(0, 2**32, dtype=np.uint32) == b.integers(0, 2**32, dtype=np.uint32)
-        below = _bounded_draws(a)
+        below = bounded_draws(a)
         pick = rng_from_seed(seed)
         for k in pick.choice(BOUNDS, size=3000).tolist():
             got = below(k)
@@ -359,13 +356,13 @@ def test_bounded_draws_match_numpy_integers():
 
 def test_bounded_draws_of_one_consume_no_word():
     a, b = rng_from_seed(5), rng_from_seed(5)
-    below = _bounded_draws(a)
+    below = bounded_draws(a)
     assert [below(1) for _ in range(5000)] == [0] * 5000
     assert [below(1000) for _ in range(10)] == [int(b.integers(1000)) for _ in range(10)]
 
 
 def test_bounded_draws_refuse_bounds_outside_32_bits():
-    below = _bounded_draws(rng_from_seed(0))
+    below = bounded_draws(rng_from_seed(0))
     for k in (0, 2**32 + 1):
         with pytest.raises(ValueError):
             below(k)

@@ -84,7 +84,7 @@ def test_seed_masked_to_64_bits():
 
 
 def triangle() -> AdjacencyGraph:
-    return AdjacencyGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    return AdjacencyGraph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_basic_accessors():
@@ -99,7 +99,7 @@ def test_basic_accessors():
 
 
 def test_closed_nbhd_subset():
-    g = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = AdjacencyGraph(4, [(0, 1), (1, 2), (2, 3)])
     assert is_closed_nbhd_subset(g, 0, 1)  # N[0]={0,1} within N[1]={0,1,2}
     assert not is_closed_nbhd_subset(g, 1, 0)
     assert not is_closed_nbhd_subset(g, 1, 2)  # 0 not adjacent to 2
@@ -107,13 +107,18 @@ def test_closed_nbhd_subset():
 
 
 def test_self_loop_rejected():
-    g = AdjacencyGraph(3)
     with pytest.raises(ValueError):
-        g.add_edge(1, 1)
+        AdjacencyGraph(3, [(1, 1)])
+
+
+def test_edge_ids_outside_the_range_rejected():
+    for edge in [(0, 3), (-1, 0)]:  # -1 would index the last set
+        with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+            AdjacencyGraph(3, [edge])
 
 
 def test_repeated_edges_count_once():
-    g = AdjacencyGraph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
+    g = AdjacencyGraph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count() == 1
     assert g.non_isolated_count() == 2
     assert g.degree(0) == g.degree(1) == 1
@@ -131,7 +136,7 @@ def test_dead_vertex_access_raises():
 
 
 def test_remove_vertex_updates_counts():
-    g = AdjacencyGraph.from_edges(4, [(0, 1), (2, 3)])
+    g = AdjacencyGraph(4, [(0, 1), (2, 3)])
     g.remove_vertex(1)
     # 0 lost its only neighbor and became isolated
     assert g.alive_count() == 3

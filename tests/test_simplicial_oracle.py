@@ -14,7 +14,7 @@ from collapse_lab.simplicial_oracle import (
 
 
 def graph(n, edges):
-    return AdjacencyGraph.from_edges(n, edges)
+    return AdjacencyGraph(n, edges)
 
 
 def cycle(n):

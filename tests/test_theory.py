@@ -302,6 +302,14 @@ def test_alternate_lower_bound_is_false():
     assert loud.gap_lower > gap
 
 
+def test_alternate_prefactor_refuses_c_where_exp_c_overflows():
+    # exp(c) overflows a double above c = 709.78; the corrected bounds still work there
+    assert epsilon_bounds(709.0, 1, paper_constants=True).gap_lower > 0.0
+    with pytest.raises(ValueError, match=r"exp\(c\) overflows \(c <= 709.78 works\)"):
+        epsilon_bounds(710.0, 1, paper_constants=True)
+    assert epsilon_bounds(710.0, 1).gap_lower >= 0.0
+
+
 def test_rounds_for_epsilon_frozen():
     assert rounds_for_epsilon(1.5, 0.01) == 11
 

@@ -236,6 +236,8 @@ def cmd_predict(args) -> int:
     rounds = theory.rounds_for_epsilon(args.c, 0.01)
     t = rounds if args.t is None else args.t
     bounds = theory.epsilon_bounds(args.c, t, paper_constants=args.paper_constants)
+    if not (math.isfinite(bounds.eps_lower) and math.isfinite(bounds.eps_upper)):
+        raise ValueError(f"eps bounds at c={args.c}, t={t} overflow a double")
     row = {
         "c": float(args.c),
         "n": args.n,

@@ -1,9 +1,11 @@
 """Sparse undirected graphs with tombstone deletion and a seeded Erdos-Renyi sampler.
 
 Vertices are integer ids in [0, n).  A graph's edges come from its
-constructor; after that it only loses vertices.  Removing a vertex marks it
-dead and strips it from its neighbors' adjacency; ids are never reused, so
-removal logs stay stable across arbitrarily long deletion sequences.
+constructor and are laid out once as CSR (compressed sparse row) rows by
+`csr_rows`, which the array scan in `collapse_engine` uses too; after that
+the graph only loses vertices.  Removing a vertex clears its alive flag and
+lowers its neighbors' degrees; ids are never reused, so removal logs stay
+stable across arbitrarily long deletion sequences.
 
 Reproducibility contract (stated here and in the README so another
 implementation can replicate streams exactly); every rule that must match
@@ -23,18 +25,16 @@ numpy's generator bit for bit lives in this module:
 
 `sample_edges(n, p, seed)` is that stream as two numpy arrays; it refuses
 n < 0 and p outside [0, 1], and `rng_from_seed` takes the seed mod 2^64.
-`sample_er(n, p, seed)` inserts it into an `AdjacencyGraph`, which costs far
-more than the draw itself.  Code that only reads a sampled graph (the
-phase-transition statistics) works on the arrays; the collapse, which deletes
-vertices, works on the sets.
+`sample_er(n, p, seed)` is the `AdjacencyGraph` of those arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections.abc import Callable, Iterable
-from typing import AbstractSet, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -142,33 +142,35 @@ def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
 
 
 class AdjacencyGraph:
-    """Undirected graph on [0, n) with alive flags and per-vertex neighbor sets.
+    """Undirected graph on [0, n): CSR rows, alive flags and live degrees.
 
-    `AdjacencyGraph(n, edges)` refuses an edge with an id outside [0, n) or a
-    self-loop; a repeated edge counts once.  After that the only mutation is
-    `remove_vertex`.  The sets and the flags are all it holds: no count is
-    cached.  Neighbor sets hold alive vertices only and stay symmetric under
-    every operation; a removed vertex's set is empty, so `non_isolated_count`
-    counts the non-empty sets.  `alive_count` counts the alive flags.
-    `neighbor_view` exposes a vertex's internal set for read-only use (do not
-    mutate it).
+    `AdjacencyGraph(n, edges)` takes pairs or an (m, 2) integer array; it
+    refuses an id outside [0, n) or a self-loop, and a repeated edge counts
+    once.  v's row `_dst[_start[v]:_start[v + 1]]` lists its neighbors
+    ascending and never changes: copies share it.  `remove_vertex` clears v's
+    flag and lowers its alive neighbors' degrees, so a vertex's neighbors are
+    the alive entries of its whole row, and a removed vertex has degree 0.
     """
 
-    __slots__ = ("n", "_alive", "_adj")
+    __slots__ = ("n", "_alive", "_deg", "_dst", "_start")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        outside = pairs[(pairs < 0) | (pairs >= n)]
+        if outside.size:
+            raise ValueError(f"vertex id {outside[0]} out of range [0, {n})")
+        if (us == vs).any():
+            raise ValueError(f"self-loop at vertex {us[us == vs][0]} rejected")
+        _, dst, start = csr_rows(n, us, vs)
         self.n = n
         self._alive = bytearray([1]) * n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self._require_alive(u)  # every vertex is alive yet: this checks the id range
-            self._require_alive(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} rejected")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        self._deg = np.diff(start).tolist()
+        self._dst = array(dst.dtype.char, dst.tobytes())
+        self._start = array("q", start.tobytes())
 
     # -- basic accessors ----------------------------------------------------
 
@@ -178,58 +180,98 @@ class AdjacencyGraph:
         if not self._alive[v]:
             raise ValueError(f"vertex {v} is dead")
 
+    def _live(self, v: int) -> Sequence[int]:
+        """v's alive neighbors, ascending, from its whole row."""
+        start = self._start
+        row = self._dst[start[v]:start[v + 1]]
+        if self._deg[v] == len(row):
+            return row
+        alive = self._alive
+        return [u for u in row if alive[u]]
+
     def alive_ids(self) -> Iterator[int]:
         """Alive vertex ids in ascending order."""
-        alive = self._alive
-        return (v for v in range(self.n) if alive[v])
+        return itertools.compress(range(self.n), self._alive)
 
     def alive_count(self) -> int:
         return self._alive.count(1)
 
     def degree(self, v: int) -> int:
         self._require_alive(v)
-        return len(self._adj[v])
+        return self._deg[v]
 
-    def neighbor_view(self, v: int) -> AbstractSet[int]:
-        """Internal neighbor set of an alive vertex; treat as read-only."""
+    def neighbor_view(self, v: int) -> set[int]:
+        """A new set of the alive neighbors of an alive vertex."""
         self._require_alive(v)
-        return self._adj[v]
+        return set(self._live(v))
 
-    # A removed vertex's set is empty, so these need no alive check.
     def non_isolated_count(self) -> int:
         """Alive vertices with at least one neighbor."""
-        return sum(map(bool, self._adj))
+        return sum(map(bool, self._deg))
 
     def edge_count(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return sum(self._deg) // 2
 
     def max_degree(self) -> int:
-        return max(map(len, self._adj), default=0)
+        return max(self._deg, default=0)
+
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The alive edges (u, v), u < v, ascending, as two arrays."""
+        dst = np.frombuffer(self._dst, dtype=self._dst.typecode)
+        src = np.repeat(np.arange(self.n, dtype=dst.dtype), np.diff(self._start))
+        alive = np.frombuffer(self._alive, dtype=bool)
+        keep = (src < dst) & alive[src] & alive[dst]
+        return src[keep], dst[keep]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Alive edges (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in sorted(self._adj[u]):
-                if v > u:
-                    yield (u, v)
+        us, vs = self._edge_arrays()
+        return zip(us.tolist(), vs.tolist())
 
     # -- mutation -----------------------------------------------------------
 
-    def remove_vertex(self, v: int) -> None:
-        """Tombstone v and strip it from all neighbor sets."""
-        self._require_alive(v)
-        adj = self._adj
-        for u in adj[v]:
-            adj[u].discard(v)
-        adj[v].clear()
+    def _drop(self, v: int, live: Iterable[int]) -> None:
+        """Remove v, `live` its alive neighbors."""
+        deg = self._deg
+        for u in live:
+            deg[u] -= 1
+        deg[v] = 0
         self._alive[v] = 0
+
+    def remove_vertex(self, v: int) -> None:
+        """Clear v's flag and lower its alive neighbors' degrees."""
+        self._drop(v, self.neighbor_view(v))
 
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph.__new__(AdjacencyGraph)
-        g.n = self.n
+        g.n, g._dst, g._start = self.n, self._dst, self._start
         g._alive = bytearray(self._alive)
-        g._adj = [set(s) for s in self._adj]
+        g._deg = list(self._deg)
         return g
+
+
+def edge_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The int64 keys a*n + b of the directed edges (a, b)."""
+    key = a.astype(np.int64)
+    key *= n
+    key += b
+    return key
+
+
+def csr_rows(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, dst, start): the CSR rows of the edges (us[i], vs[i]), either way round.
+
+    v's neighbors, ascending, fill dst[start[v]:start[v + 1]], and keys holds
+    v*n + w for each, ascending.  Ids are int32 where n allows; the keys stay
+    int64, since v*n + w reaches 10^14 at n = 10^7.  A repeat goes by a mask on
+    sorted neighbors: numpy 2.4's `np.unique` hashes, several times slower.
+    """
+    keys = edge_keys(np.concatenate((us, vs)), np.concatenate((vs, us)), n)
+    keys.sort()
+    if len(keys):
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    dst = (keys % n).astype(np.int32 if n < 2**31 else np.int64)
+    return keys, dst, np.bincount((keys + n) // n, minlength=n + 1).cumsum()  # counts by row + 1
 
 
 def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,12 +352,4 @@ def sample_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_er(n: int, p: float, seed: int) -> AdjacencyGraph:
     """An `AdjacencyGraph` holding the edges of `sample_edges(n, p, seed)`."""
-    # The sets exist before the draw and take the edges unchecked: building them
-    # after it raised the peak RSS, and the constructor's checked insert was slower.
-    g = AdjacencyGraph(n)
-    adj = g._adj
-    us, vs = sample_edges(n, p, seed)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        adj[u].add(v)
-        adj[v].add(u)
-    return g
+    return AdjacencyGraph(n, np.column_stack(sample_edges(n, p, seed)))

@@ -533,7 +533,7 @@ def test_validate_runs_without_mpmath(monkeypatch, capsys):
 def test_validate_catches_broken_oracle(monkeypatch, capsys):
     """Mutation probe: cripple the link oracle and the suite must go red."""
     monkeypatch.setattr(
-        simplicial_oracle, "is_dominated_via_link", lambda g, v, n_limit=30: False
+        simplicial_oracle, "is_dominated_via_link", lambda g, v: False
     )
     code, out, _ = run_main(["validate"], capsys)
     assert code == 1
@@ -604,6 +604,14 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = run_main(["predict", "--c", "710", "--paper-constants"], capsys)
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # below that, from about c = 703.2, the bounds themselves overflow to inf or nan
+    for argv in (
+        ["predict", "--c", "704", "--paper-constants"],
+        ["predict", "--c", "704", "--t", "2", "--paper-constants", "--format", "json"],
+    ):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
     # exp(-c) underflows: the whole graph is predicted to survive
     code, out, _ = run_main(["predict", "--c", "1e12", "--n", "10000"], capsys)
     assert code == 0

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import collapse_engine as engine
 from collapse_lab.collapse_engine import (
     CollapseTrace,
     PhaseReport,
@@ -112,9 +113,9 @@ def test_is_dominated_equals_neighbor_containment(case):
     g = graph(n, [(u, v) for u, v in edges if u != v])
     for v in g.alive_ids():
         expect = any(is_closed_nbhd_subset(g, v, w) for w in g.neighbor_view(v))
-        assert bool(_dominators(g._adj, v)) == expect
+        assert bool(_dominators(g, sorted(g.neighbor_view(v)))) == expect
         dominators = sorted(w for w in g.neighbor_view(v) if is_closed_nbhd_subset(g, v, w))
-        assert sorted(_dominators(g._adj, v)) == dominators
+        assert sorted(_dominators(g, sorted(g.neighbor_view(v)))) == dominators
 
 
 # -- epoch 1 ---------------------------------------------------------------------
@@ -519,14 +520,14 @@ def test_run_trial_matches_the_full_scan_composition():
 
 
 def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
+    # the one walk is a `scan_edges` call on the alive edges; no `_scan` runs
     g = sample_er(300, 1.5 / 300, mix_seed(211, 0))
-    walks = []
-    alive_ids = AdjacencyGraph.alive_ids
-    monkeypatch.setattr(
-        AdjacencyGraph, "alive_ids", lambda self: walks.append(1) or alive_ids(self)
-    )
+    calls = []
+    for name in ("scan_edges", "_scan"):
+        fn = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     run_trial(g, 3, rng_from_seed(0))
-    assert len(walks) == 1
+    assert calls == ["scan_edges"]
 
 
 # -- topology and uniqueness -----------------------------------------------------

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collapse_lab.graph_core import (
     AdjacencyGraph,
@@ -166,6 +168,52 @@ def test_non_isolated_matches_recount_under_deletions():
             g.remove_vertex(alive[j])
             recount = sum(1 for v in g.alive_ids() if g.degree(v) > 0)
             assert g.non_isolated_count() == recount
+
+
+def _holds_model(g, model):
+    """g agrees with `model`, a dict of alive vertex -> set of neighbors."""
+    assert g.alive_count() == len(model)
+    for v, nb in model.items():
+        assert g.degree(v) == len(nb)
+        assert g.neighbor_view(v) == nb
+    assert list(g.edges()) == sorted((u, v) for u, nb in model.items() for v in nb if u < v)
+    assert g.edge_count() == sum(map(len, model.values())) // 2
+    assert g.non_isolated_count() == sum(1 for nb in model.values() if nb)
+    assert g.max_degree() == max(map(len, model.values()), default=0)
+
+
+graphs_and_orders = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=30,
+        ),
+        st.permutations(range(n)),
+    )
+)
+
+
+@settings(deadline=None)
+@given(graphs_and_orders)
+@example((4, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0)], [1, 0, 3, 2]))
+@example((3, [], [2, 0, 1]))
+def test_removals_match_a_dict_of_sets_model(case):
+    n, edges, order = case
+    g = AdjacencyGraph(n, edges)
+    model = {v: set() for v in range(n)}
+    for u, v in edges:
+        model[u].add(v)
+        model[v].add(u)
+    _holds_model(g, model)
+    for i, v in enumerate(order):
+        if i == n // 2:
+            h, h_model = g.copy(), {u: set(nb) for u, nb in model.items()}
+        g.remove_vertex(v)
+        for u in model.pop(v):
+            model[u].discard(v)
+        _holds_model(g, model)
+    _holds_model(h, h_model)
 
 
 # -- pair index mapping -----------------------------------------------------------

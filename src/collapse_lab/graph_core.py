@@ -250,14 +250,6 @@ class AdjacencyGraph:
         return g
 
 
-def edge_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The int64 keys a*n + b of the directed edges (a, b)."""
-    key = a.astype(np.int64)
-    key *= n
-    key += b
-    return key
-
-
 def csr_rows(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keys, dst, start): the CSR rows of the edges (us[i], vs[i]), either way round.
 
@@ -266,7 +258,9 @@ def csr_rows(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.nda
     int64, since v*n + w reaches 10^14 at n = 10^7.  A repeat goes by a mask on
     sorted neighbors: numpy 2.4's `np.unique` hashes, several times slower.
     """
-    keys = edge_keys(np.concatenate((us, vs)), np.concatenate((vs, us)), n)
+    keys = np.concatenate((us, vs), dtype=np.int64)
+    keys *= n
+    keys += np.concatenate((vs, us))
     keys.sort()
     if len(keys):
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]

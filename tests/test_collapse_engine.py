@@ -8,7 +8,9 @@ it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 """
 
 import hashlib
+import itertools
 import json
+import math
 import tracemalloc
 
 import networkx as nx
@@ -477,6 +479,37 @@ def test_scan_edges_memory_on_a_complete_graph():
         tracemalloc.stop()
     assert result == (150 * 149, list(range(150)))
     assert peak <= 64 * 2**20
+
+
+def test_scan_edges_memory_on_sparse_input():
+    # phase-sparse's size: 1.15 million CSR entries, whose rows peak at about
+    # 23 MB; a filter holding every candidate at once would need some 67 MB
+    n, seed = 10**5, mix_seed(234, 0)
+    us, vs = sample_edges(n, math.log(n) / n, seed)
+    tracemalloc.start()
+    try:
+        result = scan_edges(n, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == _scan(sample_er(n, math.log(n) / n, seed))
+    assert peak <= 40 * 2**20
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_scan_edges_across_block_boundaries(monkeypatch, block):
+    # small blocks split rows and candidate lists at every offset, and most
+    # sizes leave a partial last block; the graphs after removals have dead
+    # vertices and are scanned through their alive edges
+    monkeypatch.setattr("collapse_lab.collapse_engine._VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((200, 2000), (1.5, 3.0, 12.0))):
+        g = sample_er(n, c / n, mix_seed(235, k))
+        assert scan_edges(n, *sample_edges(n, c / n, mix_seed(235, k))) == _scan(g), (n, c)
+        rng = rng_from_seed(k)
+        for v in rng.choice(n, n // 4, replace=False).tolist():
+            g.remove_vertex(v)
+        run_epoch1(g, 1)
+        assert scan_edges(n, *g._edge_arrays()) == _scan(g), (n, c)
 
 
 def test_phases_hand_over_the_dominated_set():

@@ -4,8 +4,9 @@ A vertex v is dominated when some neighbor w satisfies N[v] subset-of N[w];
 removing a dominated vertex is an elementary strong collapse and preserves the
 homotopy type of the clique complex.  The engine never stores more than the
 1-skeleton: induced links stay determined by the graph.  The containment test
-is written once, in `_dominators`, leaf shortcut included; every other
-domination query is built on it.
+is written once per form: for one vertex in `_dominators`, for many at once
+on the CSR rows in `scan_edges` (every alive vertex, with pair counts) and in
+`_verdicts` (the pruning phases).  The tests hold each to the others.
 
 Two scans give the dominated-pair count and the dominated set: `run_trial`
 runs `scan_edges` on the graph's alive edges, and `dominated_set` and
@@ -13,24 +14,41 @@ runs `scan_edges` on the graph's alive edges, and `dominated_set` and
 on `validate`'s tiny graphs; `prune_phase`, `run_epoch1`, `run_core` and
 `run_epoch2` start from the latter, and the tests hold `run_trial` to them.
 
-Epoch 1 runs pruning phases, all in one loop, `_run_phases`.  A phase walks
-a snapshot of the dominated set in ascending id order, re-verifies each vertex
-against the *current* graph and removes it only if still dominated.  Blind
-simultaneous deletion of the snapshot would be unsound (in a triangle all
-three vertices are dominated; deleting all of them changes the homotopy
-type), so re-verification is what keeps every single removal elementary.
-Ties among mutually dominated vertices therefore resolve by ascending id.
+Epoch 1 runs pruning phases, all in one loop, `_run_phases`.  A phase is a
+walk over a snapshot of the dominated set in ascending id order: each vertex
+is re-verified against the *current* graph and removed only if still
+dominated.  Blind simultaneous deletion of the snapshot would be unsound (in
+a triangle all three vertices are dominated; deleting all of them changes
+the homotopy type), so re-verification is what keeps every single removal
+elementary.  Ties among mutually dominated vertices therefore resolve by
+ascending id.
+
+The walk is computed in rank rounds on the graph's arrays (G. E. Blelloch,
+J. T. Fineman and J. Shun, "Greedy sequential maximal independent set and
+matching are parallel on average", SPAA 2012).  Rank the snapshot by walk
+order; a member is ready once every snapshot neighbor of lower rank has been
+decided.  A round decides all ready members at once, removes the dominated
+ones and takes every decided member out of the ranking, which readies the
+members that waited only on them.  This is exact.  By the locality fact
+below, v's verdict depends only on which of its neighbors are alive.  Only
+snapshot members are removed in a phase, and at v's turn in the walk those of
+lower rank are decided and those of higher rank are still alive.  A ready set
+has no two adjacent members, so in its round each ready v sees exactly that
+live row.  Its verdict is still the snapshot's, dominated, unless the phase
+has removed a neighbor of v; only then does the alive-aware kernel
+`_verdicts` test v again.  Sampled graphs need one or two rounds a phase;
+K_n needs n.
 
 The loop carries f0 and the snapshot from phase to phase.  The next snapshot
 re-checks only the vertices a phase touched, i.e. the alive neighbors of its
-removals (taken just before each removal).  By the locality fact below, a
-vertex outside that set kept its status through the phase; a snapshot member
-that failed re-verification lost its status to a removed neighbor, so it is
-touched.  The re-checked set is therefore exactly the dominated set after the
-phase: the next phase's snapshot, or, once the budget is spent, epoch 2's
-starting pool.  It is phase 1's snapshot when the budget is 0, and empty once
-a phase removes nothing.  f0 drops by the removals, each dominated and so not
-isolated, and by the touched vertices left isolated: only a removal isolates.
+removals.  By the locality fact, a vertex outside that set kept its status
+through the phase; a snapshot member that failed re-verification lost its
+status to a removed neighbor, so it is touched.  The re-checked set is
+therefore exactly the dominated set after the phase: the next phase's
+snapshot, or, once the budget is spent, epoch 2's starting pool.  It is
+phase 1's snapshot when the budget is 0, and empty once a phase removes
+nothing.  f0 drops by the removals, each dominated and so not isolated, and
+by the touched vertices left isolated: only a removal isolates.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time and logs Y_i,
 the number of vertices that single deletion newly dominated (`run_epoch2`).
@@ -46,14 +64,14 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import AdjacencyGraph, bounded_draws, csr_rows
 
-_VERIFY_BLOCK = 2**17  # CSR entries, or lookups, per `scan_edges` block: about 10 MB at peak
+_VERIFY_BLOCK = 2**17  # CSR entries, or lookups, per block of the array scans: about 10 MB at peak
 
 
 # -- trace records ----------------------------------------------------------
@@ -98,7 +116,8 @@ def _dominators(g: AdjacencyGraph, row: Sequence[int]) -> Sequence[int]:
     """Neighbors w of v with N[v] subset-of N[w], `row` v's alive neighbors ascending.
 
     That is N(v) - {w} within w's row, whose dead entries match no alive
-    vertex; both ascend, so each lookup bisects on from the last.
+    vertex; both ascend, so each lookup bisects on from the last.  Its callers
+    ask about one vertex at a time: epoch 2, `_scan` and `find_dominator`.
     """
     if len(row) == 1:  # the loop below agrees, after two row lookups
         return row  # a leaf: N[v] = {v, w} lies in N[w]
@@ -145,6 +164,45 @@ def _has(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return keys[at] == queries
 
 
+def _in_rows(dst: np.ndarray, lo: np.ndarray, size: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether q[i] occurs in the ascending dst[lo[i] : lo[i] + size[i]], every size[i] >= 1.
+
+    One bisection per query, all in step: lo moves to the last entry <= q[i]
+    seen, and the span left to search halves, rounding up, to 1.
+    """
+    for _ in range(int(size.max(initial=1) - 1).bit_length()):
+        half = size >> 1
+        mid = lo + half
+        lo = np.where(dst[mid] <= q, mid, lo)
+        size = size - half
+    return dst[lo] == q
+
+
+def _blocks(lo: np.ndarray, size: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Cut the spans [lo[k], lo[k] + size[k]) into blocks of about _VERIFY_BLOCK positions.
+
+    Yields (a, b, owner, pos) for spans a..b-1 (one span alone if it is
+    longer): every position in them, ascending, and the index k - a of its span.
+    """
+    ends = np.concatenate(([0], np.cumsum(size)))
+    a = 0
+    while a < len(size):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _VERIFY_BLOCK, "right")) - 1)
+        owner = np.repeat(np.arange(b - a, dtype=np.int32), size[a:b])
+        yield a, b, owner, np.arange(ends[a], ends[b]) + (lo[a:b] - ends[a:b])[owner]
+        a = b
+
+
+def _live_rows(
+    dst: np.ndarray, start: np.ndarray, alive: np.ndarray, vs: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """`_blocks` of the rows of vs: (a, b, owner, y), y the alive neighbors of vs[a:b] by owner."""
+    for a, b, owner, pos in _blocks(start[vs], start[vs + 1] - start[vs]):
+        y = dst[pos]
+        live = alive[y]
+        yield a, b, owner[live], y[live]
+
+
 def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
     """What `_scan` gives for the graph on [0, n) with the edges (us[i], vs[i]).
 
@@ -175,19 +233,41 @@ def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
 
         # Verification: every neighbor y != w of v is adjacent to w.  K_n needs
         # n^3 lookups: pairs go in blocks of _VERIFY_BLOCK, or alone if they need more.
-        ends = np.concatenate(([0], np.cumsum(deg[v])))
-        a = 0
-        while a < len(v):
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] + _VERIFY_BLOCK, "right")) - 1)
-            owner = np.repeat(np.arange(b - a), deg[v[a:b]])
-            y = dst[np.arange(ends[a], ends[b]) + (start[v[a:b]] - ends[a:b])[owner]]
-            wy = w[a:b][owner]
-            missed = ~_has(keys, (key[a:b] - v[a:b])[owner] + y) & (y != wy)
+        for a, b, owner, pos in _blocks(start[v], deg[v]):
+            y = dst[pos]
+            missed = ~_has(keys, (key[a:b] - v[a:b])[owner] + y) & (y != w[a:b][owner])
             ok = np.bincount(owner[missed], minlength=b - a) == 0
             pairs += int(ok.sum())
             dominated[v[a:b][ok]] = True
-            a = b
     return pairs, np.flatnonzero(dominated).tolist()
+
+
+def _verdicts(
+    dst: np.ndarray, start: np.ndarray, owner: np.ndarray, y: np.ndarray, deg: np.ndarray
+) -> np.ndarray:
+    """Whether each of some alive vertices v_0, v_1, ... is dominated.
+
+    y[i] runs over the alive neighbors of v_owner[i], grouped by owner and
+    ascending, and deg[k] counts v_k's; `dst` and `start` are the CSR rows.
+    Each entry is the candidate "y[i] dominates v_owner[i]".  The filter and
+    the verification are `scan_edges`' own, but every lookup is a bisection
+    inside the candidate's row, so the graph needs no key array, and only the
+    rows given count: dead entries of a dominator's row match no alive vertex.
+    """
+    first = np.cumsum(deg) - deg  # where each vertex's neighbors begin in y
+    at = first[owner]
+    x = y[at]
+    x = np.where(x == y, y[at + (deg[owner] > 1)], x)  # a leaf takes x = w, which passes
+    lo = start[y]
+    size = start[y + 1] - lo
+    keep = (x == y) | _in_rows(dst, lo, size, x)
+    owner, w, lo, size = owner[keep], y[keep], lo[keep], size[keep]
+    dominated = np.zeros(len(deg), dtype=bool)
+    for a, b, pair, pos in _blocks(first[owner], deg[owner]):
+        z = y[pos]
+        missed = ~_in_rows(dst, lo[a:b][pair], size[a:b][pair], z) & (z != w[a:b][pair])
+        dominated[owner[a:b][np.bincount(pair[missed], minlength=b - a) == 0]] = True
+    return dominated
 
 
 # -- epoch 1: pruning phases -------------------------------------------------
@@ -210,36 +290,67 @@ def _run_phases(
 ) -> tuple[CollapseTrace, list[int]]:
     """Up to t phases (no limit when t is None), stopping once one removes nothing.
 
-    `snapshot` is phase 1's: the dominated set of g, ascending.  A phase walks
+    `snapshot` is phase 1's: the dominated set of g, ascending, so that a
+    member none of whose neighbors has gone is removed untested.  A phase walks
     its snapshot as the module docstring says, in ascending order or in an
     `order_rng` permutation drawn anew each phase (the core-uniqueness checks
     use it, the experiments do not).  Also returns the dominated set the
-    phases leave, in the same form.
+    phases leave, in the same form.  The rounds remove vertices through numpy
+    views of g's alive flags and degrees.
     """
     if t is not None and t < 0:
         raise ValueError(f"phase count must be >= 0, got {t}")
     f0 = initial_f0 = g.non_isolated_count()
+    if t == 0:
+        return CollapseTrace([], initial_f0, False), snapshot
     phases: list[PhaseReport] = []
-    deg, live = g._deg, g._live
+    dst = np.frombuffer(g._dst, dtype=g._dst.typecode)
+    start = np.frombuffer(g._start, dtype=np.int64)
+    alive = np.frombuffer(g._alive, dtype=bool)
+    deg = np.frombuffer(g._deg, dtype=dst.dtype)
+    unranked = np.iinfo(dst.dtype).max  # every vertex outside the snapshot
+    rank = np.full(g.n, unranked, dtype=dst.dtype)
+    touched = np.zeros(g.n, dtype=bool)
     for _ in itertools.count() if t is None else range(t):
         if order_rng is not None:
             snapshot = [snapshot[j] for j in order_rng.permutation(len(snapshot))]
-        removed: list[int] = []
-        touched: set[int] = set()
-        for v in snapshot:
-            nv = live(v)
-            if _dominators(g, nv):
-                touched.update(nv)
-                touched.discard(v)
-                g._drop(v, nv)
-                removed.append(v)
-        isolated = sum(1 for u in touched if not deg[u])
+        snap = np.array(snapshot, dtype=dst.dtype)
+        rank[snap] = np.arange(len(snap))
+        gone = np.zeros(len(snap), dtype=bool)
+        todo = np.arange(len(snap))  # the undecided ranks; a decided member leaves `rank`
+        while len(todo):
+            vs = snap[todo]
+            ready = np.ones(len(todo), dtype=bool)
+            for a, b, owner, y in _live_rows(dst, start, alive, vs):
+                now = ready[a:b]  # no undecided snapshot neighbor comes first
+                now[owner[rank[y] < todo[a:b][owner]]] = False
+                # a member next to no removal is still dominated, as at the phase's start
+                dominated = now.copy()
+                lost = now & touched[vs[a:b]]
+                if lost.any():
+                    dominated[lost] = _verdicts(dst, start, owner, y, deg[vs[a:b]])[lost]
+                if dominated.any():
+                    gone[todo[a:b][dominated]] = True
+                    v, y_gone = vs[a:b][dominated], y[dominated[owner]]
+                    alive[v] = False
+                    np.subtract.at(deg, y_gone, 1)
+                    deg[v] = 0
+                    touched[y_gone] = True
+            rank[vs[ready]] = unranked
+            todo = todo[~ready]
+        removed = list(itertools.compress(snapshot, gone))  # no new int objects: less heap
+        near = np.flatnonzero(touched & alive)  # ascending, as the next snapshot must be
+        touched[near] = False  # the removed stay marked, and dead
+        isolated = int(np.count_nonzero(deg[near] == 0))
         f0 -= len(removed) + isolated
         phases.append(PhaseReport(removed, f0, isolated))
-        snapshot = [v for v in sorted(touched) if _dominators(g, live(v))]
+        dominated = np.zeros(len(near), dtype=bool)
+        for a, b, owner, y in _live_rows(dst, start, alive, near):
+            dominated[a:b] = _verdicts(dst, start, owner, y, deg[near[a:b]])
+        snapshot = near[dominated].tolist()
         if not removed:
             break
-    return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
+    return CollapseTrace(phases, initial_f0, not phases[-1].removed), snapshot
 
 
 def run_epoch1(g: AdjacencyGraph, t: int) -> CollapseTrace:

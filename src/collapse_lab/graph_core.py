@@ -150,6 +150,8 @@ class AdjacencyGraph:
     ascending and never changes: copies share it.  `remove_vertex` clears v's
     flag and lowers its alive neighbors' degrees, so a vertex's neighbors are
     the alive entries of its whole row, and a removed vertex has degree 0.
+    The flags are a `bytearray` and the degrees an `array` of the ids' type,
+    so numpy can view and write both in place.
     """
 
     __slots__ = ("n", "_alive", "_deg", "_dst", "_start")
@@ -168,7 +170,7 @@ class AdjacencyGraph:
         _, dst, start = csr_rows(n, us, vs)
         self.n = n
         self._alive = bytearray([1]) * n
-        self._deg = np.diff(start).tolist()
+        self._deg = array(dst.dtype.char, np.diff(start).astype(dst.dtype).tobytes())
         self._dst = array(dst.dtype.char, dst.tobytes())
         self._start = array("q", start.tobytes())
 
@@ -246,7 +248,7 @@ class AdjacencyGraph:
         g = AdjacencyGraph.__new__(AdjacencyGraph)
         g.n, g._dst, g._start = self.n, self._dst, self._start
         g._alive = bytearray(self._alive)
-        g._deg = list(self._deg)
+        g._deg = self._deg[:]
         return g
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from collapse_lab.collapse_engine import CollapseTrace, PhaseReport, find_dominator
 from collapse_lab.graph_core import AdjacencyGraph, mix_seed, rng_from_seed
 from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
 
@@ -18,6 +19,39 @@ _TREE_BATCH = 64  # sample_tree's first offspring batch
 def is_closed_nbhd_subset(g: AdjacencyGraph, u: int, w: int) -> bool:
     """Whether N[u] is contained in N[w] (both vertices alive), by the literal set test."""
     return g.neighbor_view(u) | {u} <= g.neighbor_view(w) | {w}
+
+
+def walk_phases(
+    g: AdjacencyGraph, t: int | None = None, order_rng: np.random.Generator | None = None
+) -> tuple[CollapseTrace, list[int]]:
+    """`_run_phases` from the full dominated set, as a literal walk, one vertex at a time.
+
+    Each phase walks its snapshot in ascending order (or an `order_rng`
+    permutation), removing every member still dominated at its turn; the next
+    snapshot re-checks the alive neighbors of the removals, ascending.
+    Returns the trace and the dominated set the phases leave.
+    """
+    f0 = initial_f0 = g.non_isolated_count()
+    snapshot = [v for v in g.alive_ids() if find_dominator(g, v) is not None]
+    phases: list[PhaseReport] = []
+    while t is None or len(phases) < t:
+        if order_rng is not None:
+            snapshot = [snapshot[j] for j in order_rng.permutation(len(snapshot))]
+        removed: list[int] = []
+        touched: set[int] = set()
+        for v in snapshot:
+            if find_dominator(g, v) is not None:
+                touched |= g.neighbor_view(v)
+                g.remove_vertex(v)
+                removed.append(v)
+        touched.difference_update(removed)
+        isolated = sum(1 for u in touched if g.degree(u) == 0)
+        f0 -= len(removed) + isolated
+        phases.append(PhaseReport(removed, f0, isolated))
+        snapshot = [v for v in sorted(touched) if find_dominator(g, v) is not None]
+        if not removed:
+            break
+    return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
 
 
 def _poisson_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from collapse_lab.graph_core import (
     sample_er,
 )
 from collapse_lab.simplicial_oracle import clique_census, euler_characteristic
-from references import is_closed_nbhd_subset
+from references import is_closed_nbhd_subset, walk_phases
 
 
 def graph(n, edges):
@@ -532,6 +532,85 @@ def test_phases_hand_over_the_dominated_set_on_small_graphs(case, t):
     g = graph(n, [(u, v) for u, v in edges if u != v])
     _, pool = _run_phases(g, t, None, dominated_set(g))
     assert pool == dominated_set(g)
+
+
+def assert_phases_match_the_walk(g, t, seed=None):
+    """_run_phases and the literal walk agree on copies of g: trace, pool, degrees, flags.
+
+    With a seed, both walk in the permutations of rng_from_seed(seed).
+    """
+    a, b = g.copy(), g.copy()
+    rng = None if seed is None else rng_from_seed(seed)
+    got = _run_phases(a, t, rng, dominated_set(a))
+    expect = walk_phases(b, t, None if seed is None else rng_from_seed(seed))
+    assert got == expect, (t, seed)
+    assert a._deg == b._deg and a._alive == b._alive, (t, seed)
+
+
+@pytest.mark.parametrize("n", [60, 2000])
+@pytest.mark.parametrize("c", [1.5, 3.0, 12.0])
+def test_phases_match_the_walk_on_sampled_graphs(n, c):
+    for k in range(4 if n == 60 else 1):
+        g = sample_er(n, c / n, mix_seed(245, k))
+        for t in (0, 1, 2, 5, None):
+            for seed in (None, mix_seed(246, 10 * k + (t or 0))):
+                assert_phases_match_the_walk(g, t, seed)
+
+
+@settings(deadline=None)
+@given(small_edge_lists, st.sampled_from([0, 1, 2, 5, None]), st.none() | st.integers(0, 2**64 - 1))
+@example((5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]), None, None)  # twins 0 and 1
+def test_phases_match_the_walk_on_small_graphs(case, t, seed):
+    n, edges = case
+    assert_phases_match_the_walk(graph(n, [(u, v) for u, v in edges if u != v]), t, seed)
+
+
+def test_phases_need_several_rounds_on_triangles(monkeypatch):
+    # K_5's members, and a fan's path (each vertex under the hub 0), are chains
+    # of adjacent members: every member waits for the one before it
+    fan = graph(7, [(0, i) for i in range(1, 7)] + [(i, i + 1) for i in range(1, 6)])
+    rows = []
+    live_rows = engine._live_rows
+    monkeypatch.setattr(engine, "_live_rows", lambda *a: rows.append(1) or live_rows(*a))
+    for g in (complete(5), fan):
+        for t in (1, None):
+            for seed in (None, 0, 1):
+                assert_phases_match_the_walk(g, t, seed)
+        rows.clear()
+        _run_phases(g.copy(), 1, None, dominated_set(g))
+        assert len(rows) - 1 >= 3  # one call per round, and one for the next snapshot
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_phases_across_block_boundaries(monkeypatch, block):
+    # small blocks split the rows of members, of ready sets and of touched
+    # vertices at every offset; some graphs have dead vertices before phase 1
+    monkeypatch.setattr("collapse_lab.collapse_engine._VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((200, 2000), (1.5, 3.0, 12.0))):
+        g = sample_er(n, c / n, mix_seed(247, k))
+        if k % 2:
+            for v in rng_from_seed(k).choice(n, n // 4, replace=False).tolist():
+                g.remove_vertex(v)
+        assert_phases_match_the_walk(g, None, None)
+        assert_phases_match_the_walk(g, 2, mix_seed(248, k))
+
+
+def test_phases_memory_on_sparse_input():
+    # collapse-phases' graphs at twice the size, 0.15 million CSR entries:
+    # 8.0 MB at peak, the snapshot list plus the kernel's temporaries on the
+    # vertices phase 1 touched; the bound's 1 MB of headroom is less than an
+    # int64 key array over the rows (1.2 MB) would add
+    n, seed = 10**5, mix_seed(249, 0)
+    g = sample_er(n, 1.5 / n, seed)
+    h = g.copy()
+    tracemalloc.start()
+    try:
+        trace = run_epoch1(g, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace == walk_phases(h, 11)[0]
+    assert peak <= 9 * 2**20
 
 
 def test_run_trial_matches_the_full_scan_composition():

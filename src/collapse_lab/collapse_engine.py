@@ -4,12 +4,13 @@ A vertex v is dominated when some neighbor w satisfies N[v] subset-of N[w];
 removing a dominated vertex is an elementary strong collapse and preserves the
 homotopy type of the clique complex.  The engine never stores more than the
 1-skeleton: induced links stay determined by the graph.  The containment test
-is written once per form: for one vertex in `_dominators`, for many at once
-on the CSR rows in `scan_edges` (every alive vertex, with pair counts) and in
-`_verdicts` (the pruning phases).  The tests hold each to the others.
+is written twice: for one vertex in `_dominators`, and for many at once on
+the CSR rows in the array kernel `_verdicts`, which serves both the full scan
+`scan_edges` (every alive vertex, with pair counts) and the pruning phases.
+The tests hold the two to each other.
 
 Two scans give the dominated-pair count and the dominated set: `run_trial`
-runs `scan_edges` on the graph's alive edges, and `dominated_set` and
+runs `scan_edges` on the graph's own rows, and `dominated_set` and
 `count_dominated_pairs` walk the alive vertices in `_scan`, cheaper than numpy
 on `validate`'s tiny graphs; `prune_phase`, `run_epoch1`, `run_core` and
 `run_epoch2` start from the latter, and the tests hold `run_trial` to them.
@@ -71,7 +72,7 @@ import numpy as np
 
 from .graph_core import AdjacencyGraph, bounded_draws, csr_rows
 
-_VERIFY_BLOCK = 2**17  # CSR entries, or lookups, per block of the array scans: about 10 MB at peak
+_VERIFY_BLOCK = 2**15  # CSR entries, or lookups, per block of the array scans: about 3 MB at peak
 
 
 # -- trace records ----------------------------------------------------------
@@ -157,13 +158,6 @@ def dominated_set(g: AdjacencyGraph) -> list[int]:
     return _scan(g)[1]
 
 
-def _has(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query occurs in the ascending array `keys`."""
-    at = np.searchsorted(keys, queries)
-    np.minimum(at, len(keys) - 1, out=at)
-    return keys[at] == queries
-
-
 def _in_rows(dst: np.ndarray, lo: np.ndarray, size: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Whether q[i] occurs in the ascending dst[lo[i] : lo[i] + size[i]], every size[i] >= 1.
 
@@ -178,19 +172,24 @@ def _in_rows(dst: np.ndarray, lo: np.ndarray, size: np.ndarray, q: np.ndarray) -
     return dst[lo] == q
 
 
-def _blocks(lo: np.ndarray, size: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Cut the spans [lo[k], lo[k] + size[k]) into blocks of about _VERIFY_BLOCK positions.
+def _spans(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Cut the spans [ends[k], ends[k + 1]) into blocks of about _VERIFY_BLOCK positions.
 
-    Yields (a, b, owner, pos) for spans a..b-1 (one span alone if it is
-    longer): every position in them, ascending, and the index k - a of its span.
+    Yields (a, b, owner) for spans a..b-1 (one span alone if it is longer):
+    the index k - a of the span of each position ends[a] .. ends[b] - 1.
     """
-    ends = np.concatenate(([0], np.cumsum(size)))
     a = 0
-    while a < len(size):
+    while a < len(ends) - 1:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] + _VERIFY_BLOCK, "right")) - 1)
-        owner = np.repeat(np.arange(b - a, dtype=np.int32), size[a:b])
-        yield a, b, owner, np.arange(ends[a], ends[b]) + (lo[a:b] - ends[a:b])[owner]
+        yield a, b, np.repeat(np.arange(b - a, dtype=np.int32), np.diff(ends[a : b + 1]))
         a = b
+
+
+def _blocks(lo: np.ndarray, size: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """`_spans` of the spans [lo[k], lo[k] + size[k]): (a, b, owner, pos), pos each position."""
+    ends = np.concatenate(([0], np.cumsum(size)))
+    for a, b, owner in _spans(ends):
+        yield a, b, owner, np.arange(ends[a], ends[b]) + (lo[a:b] - ends[a:b])[owner]
 
 
 def _live_rows(
@@ -203,71 +202,81 @@ def _live_rows(
         yield a, b, owner[live], y[live]
 
 
-def scan_edges(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[int, list[int]]:
-    """What `_scan` gives for the graph on [0, n) with the edges (us[i], vs[i]).
+def _views(g: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numpy views of g's rows, row starts, alive flags and degrees, which write through."""
+    dst = np.frombuffer(g._dst, dtype=g._dst.typecode)
+    start, alive = np.frombuffer(g._start, dtype=np.int64), np.frombuffer(g._alive, dtype=bool)
+    return dst, start, alive, np.frombuffer(g._deg, dtype=dst.dtype)
+
+
+def scan_edges(
+    g: AdjacencyGraph | int, us: np.ndarray | None = None, vs: np.ndarray | None = None
+) -> tuple[int, list[int]]:
+    """What `_scan` gives for the graph g, or for the graph on [0, g) with the edges (us[i], vs[i]).
 
     No edge is a loop; either orientation will do, and a repeat counts once.
-    Each entry of w's CSR row, keys[i] = w*n + v, is the candidate "w
-    dominates v".  A leaf v is dominated by its one neighbor.  Otherwise w
-    dominates v iff N(v) - {w} lies in N(w): a one-lookup filter keeps the
-    pair only when (w, x) is an edge, x the smallest neighbor of v other than
-    w, and every pair that passes is then checked in full.  Every lookup is
-    (w, .) in w's own row, so the queries ascend with the entries and no sort
-    is needed.  The entries go in blocks of _VERIFY_BLOCK, and so do the
-    verification's lookups, so the scan's peak is the rows' own: 23 MB under
-    tracemalloc at `phase-sparse`'s size (n = 10^5, mean degree 11.5).
+    Edges are laid out by `csr_rows`, every vertex alive; a graph's own rows
+    are read in place, with no copy.  `_verdicts` takes the vertices in
+    ranges a..b-1 whose rows, dst[start[a]:start[b]], hold about
+    _VERIFY_BLOCK entries, so the scan adds only block-sized arrays to the
+    rows.  From edges its peak is `csr_rows`': 14 MiB under tracemalloc at
+    `phase-sparse`'s size (n = 10^5, mean degree 11.5).
     """
-    keys, dst, start = csr_rows(n, us, vs)
-    deg = np.diff(start)
-    dominated = np.zeros(n, dtype=bool)
+    if isinstance(g, AdjacencyGraph):
+        dst, start, alive, deg = _views(g)
+    else:
+        dst, start = csr_rows(g, us, vs)
+        alive, deg = np.ones(g, dtype=bool), np.diff(start)
     pairs = 0
-    for lo in range(0, len(keys), _VERIFY_BLOCK):
-        # Filter: x is v's smallest neighbor, or its second smallest when w is
-        # the smallest; a leaf has no such x and takes x = w, which passes.
-        key, v = keys[lo : lo + _VERIFY_BLOCK], dst[lo : lo + _VERIFY_BLOCK]
-        w, row = key // n, start[v]
-        first = dst[row]
-        x = np.where(first == w, dst[row + (deg[v] > 1)], first)
-        keep = (x == w) | _has(keys, key - v + x)
-        key, v, w = key[keep], v[keep], w[keep]
-
-        # Verification: every neighbor y != w of v is adjacent to w.  K_n needs
-        # n^3 lookups: pairs go in blocks of _VERIFY_BLOCK, or alone if they need more.
-        for a, b, owner, pos in _blocks(start[v], deg[v]):
-            y = dst[pos]
-            missed = ~_has(keys, (key[a:b] - v[a:b])[owner] + y) & (y != w[a:b][owner])
-            ok = np.bincount(owner[missed], minlength=b - a) == 0
-            pairs += int(ok.sum())
-            dominated[v[a:b][ok]] = True
+    dominated = np.zeros(len(alive), dtype=bool)
+    for a, b, owner in _spans(start):
+        y = dst[start[a] : start[b]]
+        live = alive[y] & alive[a:b][owner]
+        counts = _verdicts(dst, start, deg, np.arange(a, b), owner[live], y[live])
+        pairs += int(counts.sum())
+        dominated[a:b] = counts > 0
     return pairs, np.flatnonzero(dominated).tolist()
 
 
 def _verdicts(
-    dst: np.ndarray, start: np.ndarray, owner: np.ndarray, y: np.ndarray, deg: np.ndarray
+    dst: np.ndarray,
+    start: np.ndarray,
+    deg: np.ndarray,
+    vs: np.ndarray,
+    owner: np.ndarray,
+    y: np.ndarray,
 ) -> np.ndarray:
-    """Whether each of some alive vertices v_0, v_1, ... is dominated.
+    """How many neighbors dominate each of the alive vertices vs.
 
-    y[i] runs over the alive neighbors of v_owner[i], grouped by owner and
-    ascending, and deg[k] counts v_k's; `dst` and `start` are the CSR rows.
-    Each entry is the candidate "y[i] dominates v_owner[i]".  The filter and
-    the verification are `scan_edges`' own, but every lookup is a bisection
-    inside the candidate's row, so the graph needs no key array, and only the
-    rows given count: dead entries of a dominator's row match no alive vertex.
+    y[i] runs over the alive neighbors of vs[owner[i]], grouped by owner and
+    ascending; `dst` and `start` are the CSR rows, `deg` the live degrees.
+    Each entry is the candidate "y[i] dominates vs[owner[i]]".  A leaf v is
+    dominated by its one neighbor.  Otherwise w dominates v iff N(v) - {w}
+    lies in N(w), so only if deg(w) >= deg(v): a filter keeps such a pair
+    when (w, x) is an edge, x the smallest neighbor of v other than w, and
+    every pair that passes is then checked in full.  Every lookup bisects the
+    candidate's row, so the graph needs no key array, and only the rows given
+    count: dead entries of a dominator's row match no alive vertex.
     """
-    first = np.cumsum(deg) - deg  # where each vertex's neighbors begin in y
+    vdeg = deg[vs]
+    first = np.cumsum(vdeg) - vdeg  # where each vertex's neighbors begin in y
+    keep = deg[y] >= vdeg[owner]
+    owner, w = owner[keep], y[keep]
     at = first[owner]
     x = y[at]
-    x = np.where(x == y, y[at + (deg[owner] > 1)], x)  # a leaf takes x = w, which passes
-    lo = start[y]
-    size = start[y + 1] - lo
-    keep = (x == y) | _in_rows(dst, lo, size, x)
-    owner, w, lo, size = owner[keep], y[keep], lo[keep], size[keep]
-    dominated = np.zeros(len(deg), dtype=bool)
-    for a, b, pair, pos in _blocks(first[owner], deg[owner]):
+    x = np.where(x == w, y[at + (vdeg[owner] > 1)], x)  # a leaf takes x = w, which passes
+    lo = start[w]
+    size = start[w + 1] - lo
+    keep = (x == w) | _in_rows(dst, lo, size, x)
+    owner, w, lo, size = owner[keep], w[keep], lo[keep], size[keep]
+    counts = np.zeros(len(vdeg), dtype=np.int64)
+    # K_n needs n^3 lookups: pairs go in blocks of _VERIFY_BLOCK, or alone if they need more
+    for a, b, pair, pos in _blocks(first[owner], vdeg[owner]):
         z = y[pos]
         missed = ~_in_rows(dst, lo[a:b][pair], size[a:b][pair], z) & (z != w[a:b][pair])
-        dominated[owner[a:b][np.bincount(pair[missed], minlength=b - a) == 0]] = True
-    return dominated
+        ok = np.bincount(pair[missed], minlength=b - a) == 0
+        counts += np.bincount(owner[a:b][ok], minlength=len(vdeg))
+    return counts
 
 
 # -- epoch 1: pruning phases -------------------------------------------------
@@ -304,10 +313,7 @@ def _run_phases(
     if t == 0:
         return CollapseTrace([], initial_f0, False), snapshot
     phases: list[PhaseReport] = []
-    dst = np.frombuffer(g._dst, dtype=g._dst.typecode)
-    start = np.frombuffer(g._start, dtype=np.int64)
-    alive = np.frombuffer(g._alive, dtype=bool)
-    deg = np.frombuffer(g._deg, dtype=dst.dtype)
+    dst, start, alive, deg = _views(g)
     unranked = np.iinfo(dst.dtype).max  # every vertex outside the snapshot
     rank = np.full(g.n, unranked, dtype=dst.dtype)
     touched = np.zeros(g.n, dtype=bool)
@@ -328,7 +334,7 @@ def _run_phases(
                 dominated = now.copy()
                 lost = now & touched[vs[a:b]]
                 if lost.any():
-                    dominated[lost] = _verdicts(dst, start, owner, y, deg[vs[a:b]])[lost]
+                    dominated[lost] = _verdicts(dst, start, deg, vs[a:b], owner, y)[lost] > 0
                 if dominated.any():
                     gone[todo[a:b][dominated]] = True
                     v, y_gone = vs[a:b][dominated], y[dominated[owner]]
@@ -346,7 +352,7 @@ def _run_phases(
         phases.append(PhaseReport(removed, f0, isolated))
         dominated = np.zeros(len(near), dtype=bool)
         for a, b, owner, y in _live_rows(dst, start, alive, near):
-            dominated[a:b] = _verdicts(dst, start, owner, y, deg[near[a:b]])
+            dominated[a:b] = _verdicts(dst, start, deg, near[a:b], owner, y) > 0
         snapshot = near[dominated].tolist()
         if not removed:
             break
@@ -419,7 +425,7 @@ def run_trial(
     Gives the same values as those three calls in turn: the scan's dominated
     set is phase 1's snapshot, and the set the phases leave is epoch 2's pool.
     """
-    pairs, snapshot = scan_edges(g.n, *g._edge_arrays())
+    pairs, snapshot = scan_edges(g)
     trace, pool = _run_phases(g, t, None, snapshot)
     return pairs, trace, _epoch2(g, rng, pool)
 

@@ -5,12 +5,13 @@ only tests read, and is kept only so that differential tests can compare the
 two on the same inputs.  The graph references use the public graph API.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from collapse_lab.collapse_engine import CollapseTrace, PhaseReport, find_dominator
-from collapse_lab.graph_core import AdjacencyGraph, mix_seed, rng_from_seed
+from collapse_lab.graph_core import AdjacencyGraph, _pair_index_to_uv, mix_seed, rng_from_seed
 from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
 
 _TREE_BATCH = 64  # sample_tree's first offspring batch
@@ -52,6 +53,51 @@ def walk_phases(
         if not removed:
             break
     return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
+
+
+def sample_edges_one_shot(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`sample_edges` with each draw sized to the expected count left, its chunks joined at the end.
+
+    Each draw asks for 1.25 times the edges expected in the pairs left, plus
+    32, so most samples need one draw; the landed indices of all draws are
+    concatenated and mapped to their pairs at once.
+    """
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    total_pairs = n * (n - 1) // 2
+    if total_pairs == 0 or p == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        idx = np.arange(total_pairs, dtype=np.int64)
+    else:
+        rng = rng_from_seed(seed)
+        log_q = math.log1p(-p)
+        pos = -1
+        chunks: list[np.ndarray] = []
+        while pos < total_pairs:
+            want = int((total_pairs - pos) * p * 1.25) + 32
+            gaps = rng.random(want)
+            np.negative(gaps, out=gaps)
+            np.log1p(gaps, out=gaps)
+            with np.errstate(over="ignore"):
+                gaps /= log_q
+            np.floor(gaps, out=gaps)
+            np.minimum(gaps, total_pairs, out=gaps)
+            positions = gaps.astype(np.int64)
+            positions += 1
+            np.cumsum(positions, out=positions)
+            positions += pos
+            inside = positions < total_pairs
+            if inside.all():
+                chunks.append(positions)
+                pos = int(positions[-1])
+            else:
+                chunks.append(positions[inside])
+                break
+        idx = np.concatenate(chunks)
+    return _pair_index_to_uv(idx, n)
 
 
 def _poisson_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

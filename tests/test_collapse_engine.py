@@ -813,3 +813,78 @@ def test_has_universal_vertex():
                 g.remove_vertex(v)
         expect = any(g.degree(v) == g.alive_count() - 1 for v in g.alive_ids())
         assert has_universal_vertex(g) == expect, (n, p, k)
+
+
+# -- the scan on the graph's own rows ------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_scan_edges_on_the_graph_across_block_boundaries(monkeypatch, block):
+    # the graph's own rows hold dead entries and dead vertices' rows, which
+    # the scan must skip; blocks of vertex ranges split them at every offset
+    monkeypatch.setattr("collapse_lab.collapse_engine._VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((200, 1000), (1.5, 3.0, 12.0))):
+        g = sample_er(n, c / n, mix_seed(236, k))
+        assert scan_edges(g) == _scan(g), (n, c)
+        for v in rng_from_seed(k).choice(n, n // 4, replace=False).tolist():
+            g.remove_vertex(v)
+        assert scan_edges(g) == _scan(g) == scan_edges(n, *g._edge_arrays()), (n, c)
+        run_epoch1(g, 1)
+        assert scan_edges(g) == _scan(g), (n, c)
+
+
+def test_run_trial_lays_out_no_second_copy(monkeypatch):
+    # the scan reads the graph's own rows: neither the alive-edge arrays nor
+    # a second CSR layout is made
+    def refuse(*args):
+        raise AssertionError("a second copy of the rows")
+
+    budgets = itertools.product((1.5, 3.0), (0, 2, 11))
+    cases = [(300, c, mix_seed(212, k), t) for k, (c, t) in enumerate(budgets)]
+    expect = []
+    for n, c, seed, t in cases:
+        g = sample_er(n, c / n, seed)
+        pairs = count_dominated_pairs(g)
+        expect.append((pairs, run_epoch1(g, t), run_epoch2(g, rng_from_seed(seed))))
+    graphs = [sample_er(n, c / n, seed) for n, c, seed, _ in cases]
+    monkeypatch.setattr(AdjacencyGraph, "_edge_arrays", refuse)
+    monkeypatch.setattr(engine, "csr_rows", refuse)
+    monkeypatch.setattr("collapse_lab.graph_core.csr_rows", refuse)
+    for g, (n, c, seed, t), want in zip(graphs, cases, expect):
+        assert run_trial(g, t, rng_from_seed(seed)) == want, (c, t)
+
+
+def _scan_peak(n, us, vs):
+    tracemalloc.start()
+    try:
+        result = scan_edges(n, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_scan_edges_memory_at_phase_sparse_size():
+    # 1.15 million CSR entries: the int64 keys (8.8 MiB) and the rows
+    # (5.2 MiB) at once inside `csr_rows` set the peak, 14.0 MiB measured;
+    # the kernel's blocks add about 3 MiB to the rows after the keys are
+    # gone.  With a second key array kept through the scan it was 22.7 MiB;
+    # the 20 MiB bound leaves 6 MiB of headroom.
+    n = 10**5
+    us, vs = sample_edges(n, math.log(n) / n, mix_seed(237, 0))
+    result, peak = _scan_peak(n, us, vs)
+    assert result == _scan(sample_er(n, math.log(n) / n, mix_seed(237, 0)))
+    assert peak <= 20 * 2**20
+
+
+def test_scan_edges_memory_at_a_million_vertices():
+    # n = 10^6, c = 3: 3 million entries.  `csr_rows`' keys and rows set the
+    # peak, 42.1 MiB measured.  The bound is the 64.8 MiB that the scan took
+    # when it kept its key array; a full scan whose vertex blocks came from
+    # n-sized index arrays (start[vs], the sizes, their running sums) would
+    # come near it, and the vertex-range blocks keep it 22 MiB below.
+    n = 10**6
+    us, vs = sample_edges(n, 3 / n, mix_seed(238, 0))
+    result, peak = _scan_peak(n, us, vs)
+    assert peak <= 64.8 * 2**20
+    assert result == scan_edges(sample_er(n, 3 / n, mix_seed(238, 0)))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from collapse_lab.graph_core import (
     AdjacencyGraph,
     _pair_index_to_uv,
+    csr_rows,
     mix_seed,
     random_rows,
     rng_from_seed,
@@ -19,7 +21,7 @@ from collapse_lab.graph_core import (
     sample_er,
     splitmix64,
 )
-from references import is_closed_nbhd_subset
+from references import is_closed_nbhd_subset, sample_edges_one_shot
 
 # finalizer applied to 0 + k*golden is the published splitmix64 stream for seed 0
 SPLITMIX_STREAM_FROM_ZERO = [
@@ -398,3 +400,90 @@ def test_edge_frequency_aggregate():
     for e, h in hits.items():
         assert abs(h - p * seeds) <= 4 * se, f"pair {e}: {h} hits"
 
+
+
+# -- lean array stages ---------------------------------------------------------------
+
+
+def _sampler_cases():
+    """(n, p, seed) for the sampler reference: tiny n, p at and near 0 and 1, and tiny p."""
+    cases = []
+    for k, (n, p) in enumerate(
+        itertools.product(
+            (0, 1, 2, 3, 5, 17, 60, 300),
+            (0.0, 1e-300, 1e-18, 1e-4, 0.01, 0.05, 0.3, 0.5, 0.999, 1.0),
+        )
+    ):
+        cases += [(n, p, mix_seed(301, 3 * k + j)) for j in range(3)]
+    cases += [(2000, c / 2000, mix_seed(302, k)) for k, c in enumerate((0.5, 1.5, 3.0, 12.0))]
+    return cases
+
+
+def test_sample_edges_matches_the_one_shot_reference():
+    cases = _sampler_cases()
+    assert len(cases) >= 200
+    for n, p, seed in cases:
+        us, vs = sample_edges(n, p, seed)
+        ref_us, ref_vs = sample_edges_one_shot(n, p, seed)
+        assert us.dtype == vs.dtype == np.int64, (n, p, seed)
+        assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs), (n, p, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_sample_edges_in_tiny_chunks_from_a_tiny_buffer(monkeypatch, chunk):
+    # one or seven uniforms a draw, and a first buffer of one index, so that
+    # the draws, the growth and the in-place row split cross every boundary
+    monkeypatch.setattr("collapse_lab.graph_core._CHUNK", chunk)
+    monkeypatch.setattr("collapse_lab.graph_core._edge_capacity", lambda total_pairs, p: 1)
+    for n, p, seed in _sampler_cases():
+        if n <= 60:
+            us, vs = sample_edges(n, p, seed)
+            ref_us, ref_vs = sample_edges_one_shot(n, p, seed)
+            assert np.array_equal(us, ref_us) and np.array_equal(vs, ref_vs), (n, p, seed)
+
+
+def test_sample_edges_memory_at_phase_sparse_size():
+    # phase-sparse's size: 575 000 edges, 8.8 MiB of int64 output.  The one
+    # index buffer becomes vs, and the n - 1 row starts (0.8 MiB) and the
+    # chunk's draws come on top: 11.1 MiB measured, about 1.26 times the
+    # output; the bound of 1.4 times leaves about 1.2 MiB of headroom.  The
+    # draws joined at the end, and the pairs mapped out of place, took 18.4 MiB.
+    n = 10**5
+    p = math.log(n) / n
+    tracemalloc.start()
+    try:
+        us, vs = sample_edges(n, p, mix_seed(303, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * (us.nbytes + vs.nbytes)
+
+
+def test_sample_er_memory_at_phase_sparse_size():
+    # the sampler's output, its (m, 2) stack, the key array and the rows,
+    # each once: 23.5 MiB measured, and 32.3 MiB when the key array lived
+    # beside a second copy of the pairs and the rows went through bytes; the
+    # bound leaves 2.5 MiB of headroom
+    n = 10**5
+    tracemalloc.start()
+    try:
+        sample_er(n, math.log(n) / n, mix_seed(303, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 2**20
+
+
+@settings(deadline=None)
+@given(graphs_and_orders)
+@example((4, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2), (3, 0)], [0]))
+@example((3, [], [0]))
+def test_csr_rows_are_the_sorted_neighbor_sets(case):
+    # repeats in both orientations go, and every row size is counted once
+    n, edges, _ = case
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    dst, start = csr_rows(n, pairs[:, 0], pairs[:, 1])
+    nbrs = [sorted({w for u, v in edges for a, w in ((u, v), (v, u)) if a == x}) for x in range(n)]
+    assert start.tolist() == [0] + list(itertools.accumulate(map(len, nbrs)))
+    assert dst.tolist() == [w for row in nbrs for w in row]
+    assert dst.dtype == np.int32

@@ -9,11 +9,10 @@ the CSR rows in the array kernel `_verdicts`, which serves both the full scan
 `scan_edges` (every alive vertex, with pair counts) and the pruning phases.
 The tests hold the two to each other.
 
-Two scans give the dominated-pair count and the dominated set: `run_trial`
-runs `scan_edges` on the graph's own rows, and `dominated_set` and
-`count_dominated_pairs` walk the alive vertices in `_scan`, cheaper than numpy
-on `validate`'s tiny graphs; `prune_phase`, `run_epoch1`, `run_core` and
-`run_epoch2` start from the latter, and the tests hold `run_trial` to them.
+One scan gives the dominated-pair count and the dominated set: `scan_edges`
+on the graph's own rows.  `run_trial` calls it once, `dominated_set` and
+`count_dominated_pairs` read one half each, and `prune_phase`, `run_epoch1`,
+`run_core` and `run_epoch2` start from `dominated_set`.
 
 Epoch 1 runs pruning phases, all in one loop, `_run_phases`.  A phase is a
 walk over a snapshot of the dominated set in ascending id order: each vertex
@@ -118,7 +117,7 @@ def _dominators(g: AdjacencyGraph, row: Sequence[int]) -> Sequence[int]:
 
     That is N(v) - {w} within w's row, whose dead entries match no alive
     vertex; both ascend, so each lookup bisects on from the last.  Its callers
-    ask about one vertex at a time: epoch 2, `_scan` and `find_dominator`.
+    ask about one vertex at a time: epoch 2 and `find_dominator`.
     """
     if len(row) == 1:  # the loop below agrees, after two row lookups
         return row  # a leaf: N[v] = {v, w} lies in N[w]
@@ -141,21 +140,9 @@ def find_dominator(g: AdjacencyGraph, v: int) -> int | None:
     return min(_dominators(g, sorted(g.neighbor_view(v))), default=None)
 
 
-def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
-    """One pass over the alive vertices: the ordered dominated-pair count and the dominated set."""
-    pairs = 0
-    dominated: list[int] = []
-    for v in g.alive_ids():
-        k = len(_dominators(g, g._live(v)))
-        if k:
-            pairs += k
-            dominated.append(v)
-    return pairs, dominated
-
-
 def dominated_set(g: AdjacencyGraph) -> list[int]:
     """All alive dominated vertices, ascending."""
-    return _scan(g)[1]
+    return scan_edges(g)[1]
 
 
 def _in_rows(dst: np.ndarray, lo: np.ndarray, size: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -212,7 +199,7 @@ def _views(g: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 def scan_edges(
     g: AdjacencyGraph | int, us: np.ndarray | None = None, vs: np.ndarray | None = None
 ) -> tuple[int, list[int]]:
-    """What `_scan` gives for the graph g, or for the graph on [0, g) with the edges (us[i], vs[i]).
+    """Ordered dominated-pair count and dominated set of g, or of [0, g) with edges (us[i], vs[i]).
 
     No edge is a loop; either orientation will do, and a repeat counts once.
     Edges are laid out by `csr_rows`, every vertex alive; a graph's own rows
@@ -439,7 +426,7 @@ def count_dominated_pairs(g: AdjacencyGraph) -> int:
     Containment forces u adjacent to w, so only adjacent ordered pairs are
     scanned.  A mutually dominating edge contributes 2.
     """
-    return _scan(g)[0]
+    return scan_edges(g)[0]
 
 
 def is_universal_degree(alive: int, degree: int) -> bool:

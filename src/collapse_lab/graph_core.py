@@ -313,12 +313,6 @@ def _split_pairs(idx: np.ndarray, n: int) -> np.ndarray:
     return us
 
 
-def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (u, v), u < v, at the row-major indices idx: `_split_pairs` on a copy."""
-    vs = idx.copy()
-    return _split_pairs(vs, n), vs
-
-
 _CHUNK = 2**16  # uniforms per draw, and pair indices per block of `_split_pairs`
 
 

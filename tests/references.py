@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from collapse_lab.collapse_engine import CollapseTrace, PhaseReport, find_dominator
-from collapse_lab.graph_core import AdjacencyGraph, _pair_index_to_uv, mix_seed, rng_from_seed
+from collapse_lab.collapse_engine import CollapseTrace, PhaseReport, _dominators, find_dominator
+from collapse_lab.graph_core import AdjacencyGraph, _split_pairs, mix_seed, rng_from_seed
 from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
 
 _TREE_BATCH = 64  # sample_tree's first offspring batch
@@ -20,6 +20,18 @@ _TREE_BATCH = 64  # sample_tree's first offspring batch
 def is_closed_nbhd_subset(g: AdjacencyGraph, u: int, w: int) -> bool:
     """Whether N[u] is contained in N[w] (both vertices alive), by the literal set test."""
     return g.neighbor_view(u) | {u} <= g.neighbor_view(w) | {w}
+
+
+def _scan(g: AdjacencyGraph) -> tuple[int, list[int]]:
+    """`scan_edges(g)` one vertex at a time: the ordered dominated-pair count, the dominated set."""
+    pairs = 0
+    dominated: list[int] = []
+    for v in g.alive_ids():
+        k = len(_dominators(g, g._live(v)))
+        if k:
+            pairs += k
+            dominated.append(v)
+    return pairs, dominated
 
 
 def walk_phases(
@@ -53,6 +65,12 @@ def walk_phases(
         if not removed:
             break
     return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
+
+
+def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, at the row-major indices idx: `_split_pairs` on a copy."""
+    vs = idx.copy()
+    return _split_pairs(vs, n), vs
 
 
 def sample_edges_one_shot(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from collapse_lab.collapse_engine import (
     PhaseReport,
     _dominators,
     _run_phases,
-    _scan,
     core_vertices,
     count_dominated_pairs,
     dominated_set,
@@ -47,7 +46,8 @@ from collapse_lab.graph_core import (
     sample_er,
 )
 from collapse_lab.simplicial_oracle import clique_census, euler_characteristic
-from references import is_closed_nbhd_subset, walk_phases
+from collapse_lab.theory import expected_dominated_pairs
+from references import _scan, is_closed_nbhd_subset, walk_phases
 
 
 def graph(n, edges):
@@ -635,11 +635,32 @@ def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
     # the one walk is a `scan_edges` call on the alive edges; no `_scan` runs
     g = sample_er(300, 1.5 / 300, mix_seed(211, 0))
     calls = []
-    for name in ("scan_edges", "_scan"):
+    for name in ("scan_edges", "dominated_set"):
         fn = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     run_trial(g, 3, rng_from_seed(0))
     assert calls == ["scan_edges"]
+
+
+FULL_SCAN_ENTRIES = {
+    "dominated_set": dominated_set,
+    "count_dominated_pairs": count_dominated_pairs,
+    "prune_phase": prune_phase,
+    "run_epoch1": lambda g: run_epoch1(g, 3),
+    "run_core": run_core,
+    "run_epoch2": lambda g: run_epoch2(g, rng_from_seed(0)),
+}
+
+
+@pytest.mark.parametrize("entry", FULL_SCAN_ENTRIES)
+def test_each_full_scan_entry_calls_scan_edges_once(monkeypatch, entry):
+    # no entry scans twice, and none walks the alive vertices one at a time instead
+    g = sample_er(300, 3.0 / 300, mix_seed(213, 0))
+    calls = []
+    fn = engine.scan_edges
+    monkeypatch.setattr(engine, "scan_edges", lambda *a: calls.append(a) or fn(*a))
+    FULL_SCAN_ENTRIES[entry](g)
+    assert len(calls) == 1
 
 
 # -- topology and uniqueness -----------------------------------------------------
@@ -888,3 +909,38 @@ def test_scan_edges_memory_at_a_million_vertices():
     result, peak = _scan_peak(n, us, vs)
     assert peak <= 64.8 * 2**20
     assert result == scan_edges(sample_er(n, 3 / n, mix_seed(238, 0)))
+
+
+# -- every small graph, on one disjoint union ------------------------------------------
+# Domination never crosses a component, so one scan of a disjoint union gives
+# each of its graphs' results at once.
+
+
+def test_exhaustive_dominated_pair_expectation_at_six_vertices():
+    # all 2^15 graphs on 6 vertices, one union per edge count k: the weighted
+    # sum of their ordered pair counts is the exact expectation
+    pairs = np.array(list(itertools.combinations(range(6), 2)))
+    bits = (np.arange(2**15)[:, None] >> np.arange(15)) & 1
+    pairs_by_k = []
+    for k in range(16):
+        graph_at, pair_at = np.nonzero(bits[bits.sum(1) == k])
+        union = AdjacencyGraph(6 * math.comb(15, k), pairs[pair_at] + 6 * graph_at[:, None])
+        pairs_by_k.append(scan_edges(union)[0])
+    for p in (0.1, 0.3, 0.5, 0.9):
+        exact = math.fsum(m * p**k * (1 - p) ** (15 - k) for k, m in enumerate(pairs_by_k))
+        assert exact == pytest.approx(2 * expected_dominated_pairs(6, p), rel=1e-12, abs=0), p
+
+
+def test_union_of_every_graph_up_to_five_vertices_scans_as_its_parts():
+    edges, pairs, dominated, offset = [], 0, [], 0
+    for n in range(1, 6):
+        all_pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(all_pairs)):
+            part = [uv for j, uv in enumerate(all_pairs) if mask >> j & 1]
+            k, dom = _scan(graph(n, part))
+            pairs += k
+            dominated += [offset + v for v in dom]
+            edges += [(offset + u, offset + v) for u, v in part]
+            offset += n
+    union = scan_edges(graph(offset, edges))
+    assert union == scan_edges(offset, *np.array(edges).T) == (pairs, dominated)

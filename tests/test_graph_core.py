@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from collapse_lab.graph_core import (
     AdjacencyGraph,
-    _pair_index_to_uv,
     csr_rows,
     mix_seed,
     random_rows,
@@ -21,7 +20,7 @@ from collapse_lab.graph_core import (
     sample_er,
     splitmix64,
 )
-from references import is_closed_nbhd_subset, sample_edges_one_shot
+from references import _pair_index_to_uv, is_closed_nbhd_subset, sample_edges_one_shot
 
 # finalizer applied to 0 + k*golden is the published splitmix64 stream for seed 0
 SPLITMIX_STREAM_FROM_ZERO = [

@@ -52,6 +52,12 @@ by the touched vertices left isolated: only a removal isolates.
 
 Epoch 2 removes one uniformly chosen dominated vertex at a time and logs Y_i,
 the number of vertices that single deletion newly dominated (`run_epoch2`).
+Its pool is an order-statistic structure: sorted buckets of id ranges under
+a Fenwick tree of their sizes, so drawing the member of a given rank, and
+adding or dropping a neighbor, each take O(log n) tree steps and one edit of
+a short list, where one sorted list would move O(pool) entries.  A neighbor
+left with one live neighbor is dominated and one left with none is not, so
+`_dominators` tests only the others.
 
 Locality fact used throughout: deleting b can only change the domination
 status of b's neighbors.  For any v outside N[b], N[v] is untouched and every
@@ -63,7 +69,7 @@ incrementally during epoch 2; tests cross-check against full rescans.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -72,6 +78,7 @@ import numpy as np
 from .graph_core import AdjacencyGraph, bounded_draws, csr_rows
 
 _VERIFY_BLOCK = 2**15  # CSR entries, or lookups, per block of the array scans: about 3 MB at peak
+_POOL_SHIFT = 11  # epoch 2's pool buckets span 2^11 ids each
 
 
 # -- trace records ----------------------------------------------------------
@@ -365,27 +372,81 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 
 
 def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
-    """Epoch 2 from `pool`, which must be the dominated set of g, ascending."""
+    """Epoch 2 from `pool`, which must be the dominated set of g, ascending; it is left empty.
+
+    The pool is kept as sorted buckets, bucket b holding the members in
+    [b << _POOL_SHIFT, (b + 1) << _POOL_SHIFT), under a Fenwick tree of the
+    bucket sizes padded to `size`, a power of two (P. M. Fenwick, "A new data
+    structure for cumulative frequency tables", Software: Practice and
+    Experience, 1994): node i counts buckets i - (i & -i) .. i - 1, and node
+    `size` the whole pool.  Drawing the member of rank k descends from that
+    node, stepping right past every node whose count is at most k and
+    lowering by one each node it does not step past, which are exactly the
+    nodes that count the drawn member's bucket.  A neighbor that joins or
+    leaves the pool is one `insort` or `del` in its bucket and one tree
+    update, and `member` answers whether a vertex is in the pool.
+    """
+    n, shift = g.n, _POOL_SHIFT
+    size = 1 << (n >> shift).bit_length()  # > the last bucket, (n - 1) >> shift
+    buckets: list[list[int]] = [[] for _ in range(size)]
+    member = bytearray(n)
+    for v in pool:
+        buckets[v >> shift].append(v)
+        member[v] = 1
+    pool.clear()  # its members live in the buckets now, not twice through the trial
+    tree = [0] * (size + 1)
+    for i in range(1, size + 1):
+        tree[i] += len(buckets[i - 1])
+        if i + (i & -i) <= size:
+            tree[i + (i & -i)] += tree[i]
     removed: list[int] = []
     y_values: list[int] = []
     below = bounded_draws(rng)
-    live = g._live
-    while pool:
-        idx = below(len(pool))
-        v = pool[idx]
-        nb = live(v)
-        g._drop(v, nb)
-        del pool[idx]
+    dst, start, alive, deg = g._dst, g._start, g._alive, g._deg
+    while tree[size]:
+        k = below(tree[size])
+        b, step = 0, size
+        while step:
+            if tree[b + step] <= k:
+                b += step
+                k -= tree[b]
+            else:
+                tree[b + step] -= 1
+            step >>= 1
+        v = buckets[b].pop(k)
+        member[v] = 0
+        lo, hi = start[v], start[v + 1]
+        nb = dst[lo:hi]
+        if deg[v] != hi - lo:
+            nb = [u for u in nb if alive[u]]
+        for u in nb:
+            deg[u] -= 1
+        deg[v] = 0
+        alive[v] = 0
         y = 0
         for u in nb:
-            now = _dominators(g, live(u))  # non-empty iff u is dominated
-            at = bisect_left(pool, u)
-            before = at < len(pool) and pool[at] == u
-            if now and not before:
-                y += 1
-                pool.insert(at, u)
-            elif before and not now:
-                del pool[at]
+            d = deg[u]
+            if d > 1:
+                lo, hi = start[u], start[u + 1]
+                row = dst[lo:hi]
+                if d != hi - lo:
+                    row = [x for x in row if alive[x]]
+                now = bool(_dominators(g, row))
+            else:
+                now = d == 1  # a leaf is dominated, an isolated vertex is not
+            if now != member[u]:
+                member[u] = now
+                b = u >> shift
+                if now:
+                    y += 1
+                    insort(buckets[b], u)
+                else:
+                    del buckets[b][bisect_left(buckets[b], u)]
+                sign = 1 if now else -1
+                b += 1
+                while b <= size:
+                    tree[b] += sign
+                    b += b & -b
         removed.append(v)
         y_values.append(y)
     return Epoch2Trace(len(removed), removed, y_values)
@@ -396,10 +457,11 @@ def run_epoch2(g: AdjacencyGraph, rng: np.random.Generator) -> Epoch2Trace:
 
     Each step removes `pool[rng.integers(len(pool))]`, `pool` the dominated set
     in ascending order, and logs Y_i = how many vertices the single deletion
-    newly dominated.  The pool is kept sorted and updated incrementally (only
-    the removed vertex's neighbors can change status), which matches a full
-    rescan-and-choose loop decision for decision.  The index is drawn by
-    `bounded_draws`' rule, which leaves `rng` advanced in whole batches.
+    newly dominated.  The pool is updated incrementally (only the removed
+    vertex's neighbors can change status) in id-range buckets that keep its
+    order, so every draw picks what a full rescan-and-choose loop picks.  The
+    index is drawn by `bounded_draws`' rule, which leaves `rng` advanced in
+    whole batches.
     """
     return _epoch2(g, rng, dominated_set(g))
 

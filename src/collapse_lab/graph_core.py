@@ -234,17 +234,13 @@ class AdjacencyGraph:
 
     # -- mutation -----------------------------------------------------------
 
-    def _drop(self, v: int, live: Iterable[int]) -> None:
-        """Remove v, `live` its alive neighbors."""
+    def remove_vertex(self, v: int) -> None:
+        """Clear v's flag and lower its alive neighbors' degrees."""
         deg = self._deg
-        for u in live:
+        for u in self.neighbor_view(v):
             deg[u] -= 1
         deg[v] = 0
         self._alive[v] = 0
-
-    def remove_vertex(self, v: int) -> None:
-        """Clear v's flag and lower its alive neighbors' degrees."""
-        self._drop(v, self.neighbor_view(v))
 
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph.__new__(AdjacencyGraph)

@@ -6,12 +6,25 @@ two on the same inputs.  The graph references use the public graph API.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from collapse_lab.collapse_engine import CollapseTrace, PhaseReport, _dominators, find_dominator
-from collapse_lab.graph_core import AdjacencyGraph, _split_pairs, mix_seed, rng_from_seed
+from collapse_lab.collapse_engine import (
+    CollapseTrace,
+    Epoch2Trace,
+    PhaseReport,
+    _dominators,
+    find_dominator,
+)
+from collapse_lab.graph_core import (
+    AdjacencyGraph,
+    _split_pairs,
+    bounded_draws,
+    mix_seed,
+    rng_from_seed,
+)
 from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
 
 _TREE_BATCH = 64  # sample_tree's first offspring batch
@@ -65,6 +78,35 @@ def walk_phases(
         if not removed:
             break
     return CollapseTrace(phases, initial_f0, bool(phases) and not phases[-1].removed), snapshot
+
+
+def epoch2_sorted_pool(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
+    """`_epoch2` on one sorted list: `pool`, the dominated set of g ascending, updated in place.
+
+    Each step removes `pool[below(len(pool))]` and re-tests the removed
+    vertex's neighbors only, inserting or deleting each whose status changed;
+    every `del` and `insert` moves O(len(pool)) entries.
+    """
+    removed: list[int] = []
+    y_values: list[int] = []
+    below = bounded_draws(rng)
+    while pool:
+        v = pool.pop(below(len(pool)))
+        nb = g.neighbor_view(v)
+        g.remove_vertex(v)
+        y = 0
+        for u in nb:
+            now = _dominators(g, sorted(g.neighbor_view(u)))  # non-empty iff u is dominated
+            at = bisect_left(pool, u)
+            before = at < len(pool) and pool[at] == u
+            if now and not before:
+                y += 1
+                pool.insert(at, u)
+            elif before and not now:
+                del pool[at]
+        removed.append(v)
+        y_values.append(y)
+    return Epoch2Trace(len(removed), removed, y_values)
 
 
 def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ from collapse_lab.graph_core import (
 )
 from collapse_lab.simplicial_oracle import clique_census, euler_characteristic
 from collapse_lab.theory import expected_dominated_pairs
-from references import _scan, is_closed_nbhd_subset, walk_phases
+from references import _scan, epoch2_sorted_pool, is_closed_nbhd_subset, walk_phases
 
 
 def graph(n, edges):
@@ -379,6 +379,67 @@ def test_epoch2_removal_log_is_pinned():
     digest = hashlib.sha256(json.dumps([e2.removed, e2.y_values]).encode()).hexdigest()
     assert e2.steps == 24_633
     assert digest == "bd66a3e3947dfbdd9311557c8b88e65ae14bc84450d827bd5effef108b5acc1c"
+
+
+# -- epoch 2's bucketed pool -------------------------------------------------------
+# The pool's buckets span 2^_POOL_SHIFT ids; narrow ones make small graphs
+# cross many buckets, and width 0 gives every id a bucket of its own.
+
+
+def assert_epoch2_matches_the_sorted_pool(g, t, seed):
+    """`run_trial`'s epoch 2 on a copy of g against the sorted-list pool after `run_epoch1`."""
+    a, b = g.copy(), g.copy()
+    e2 = run_trial(a, t, rng_from_seed(seed))[2]
+    run_epoch1(b, t)
+    assert e2 == epoch2_sorted_pool(b, rng_from_seed(seed), dominated_set(b))
+    assert a._alive == b._alive
+    assert a._deg == b._deg
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3, engine._POOL_SHIFT])
+def test_epoch2_matches_the_sorted_pool_across_bucket_widths(monkeypatch, shift):
+    monkeypatch.setattr(engine, "_POOL_SHIFT", shift)
+    for k, (n, c, t) in enumerate(itertools.product((60, 2000), (1.5, 3.0), (0, 1, 2))):
+        seed = mix_seed(251, k)
+        assert_epoch2_matches_the_sorted_pool(sample_er(n, c / n, seed), t, seed)
+
+
+DIAMOND = (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K_4 less the edge (2, 3)
+
+
+@settings(deadline=None)
+@given(small_edge_lists, st.integers(0, 2), st.integers(0, 2**64 - 1))
+# seed 1 removes hub 1 first: hub 0 leaves the pool as the middle of a path,
+# and rejoins it as a leaf once a tip goes
+@example(DIAMOND, 0, 1)
+def test_epoch2_matches_the_sorted_pool_on_small_graphs(case, t, seed):
+    n, edges = case
+    g = graph(n, [(u, v) for u, v in edges if u != v])
+    for shift in (0, 1, 3, engine._POOL_SHIFT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_POOL_SHIFT", shift)
+            assert_epoch2_matches_the_sorted_pool(g, t, seed)
+
+
+@pytest.mark.parametrize("shift", [0, 3, engine._POOL_SHIFT])
+def test_epoch2_matches_the_sorted_pool_on_edge_cases(monkeypatch, shift):
+    monkeypatch.setattr(engine, "_POOL_SHIFT", shift)
+    # the empty graph, no edge, one edge, and graphs whose pools drain to nothing
+    small = [graph(0, []), graph(1, []), graph(2, []), graph(2, [(0, 1)])]
+    for g in small + [triangle(), complete(5), graph(*DIAMOND)]:
+        for seed in range(8):
+            assert_epoch2_matches_the_sorted_pool(g, 0, seed)
+    # n one below, at and one above 1 and 8 bucket widths, its last id a leaf
+    # in the pool, so that the last bucket is in use
+    width = 1 << shift
+    for n in (width - 1, width, width + 1, 8 * width - 1, 8 * width, 8 * width + 1):
+        if n < 3:
+            continue
+        seed = mix_seed(252, n)
+        edges = np.column_stack(sample_edges(n - 1, 3 / (n - 1), seed))
+        g = AdjacencyGraph(n, np.vstack((edges, [(n - 2, n - 1)])))
+        assert n - 1 in dominated_set(g)
+        assert_epoch2_matches_the_sorted_pool(g, 0, seed)
 
 
 # -- one scan per trial ----------------------------------------------------------

@@ -476,6 +476,7 @@ def run_trial(
     """
     pairs, snapshot = scan_edges(g)
     trace, pool = _run_phases(g, t, None, snapshot)
+    del snapshot  # at t >= 1 no longer the pool: epoch 2's garbage collections need not walk it
     return pairs, trace, _epoch2(g, rng, pool)
 
 

@@ -22,9 +22,10 @@ determinism guarantee.
 Parallelism (--threads, default and cap the CPUs the process may use) fans
 trials out to worker processes; each worker owns its graph and generator and
 results are collected in trial-index order, so the output is schedule
-independent.  Before any trial runs, main refuses an unwritable --out and
-then a --threads below 1; the tree command runs in one process and ignores
-the checked value.
+independent.  The pool's modules (multiprocessing among them) are imported
+only where a pool of more than one worker starts.  Before any trial runs,
+main refuses an unwritable --out and then a --threads below 1; the tree
+command runs in one process and ignores the checked value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -188,6 +188,8 @@ def _run_tasks(worker, tasks: list, threads: int | None) -> list:
     workers = min(threads or cpus, len(tasks), cpus)
     if workers <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # here, so one-process runs never load it
+
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))

@@ -5,6 +5,8 @@ invocations must be byte-identical apart from the measured wall_time_ms
 column, which these tests strip before comparing.
 """
 
+import ast
+import concurrent.futures
 import inspect
 import json
 import math
@@ -681,7 +683,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     tasks = list(range(-50, 50))
     assert cli._run_tasks(abs, tasks, 4096) == [abs(x) for x in tasks]
@@ -694,15 +696,82 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert asked == [3, 2, 3, 5, 5]
 
 
+def _probe(code: str, **env_changes) -> str:
+    """Run `code` in a fresh interpreter on this checkout's src; `None` unsets a variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     probe = (
         "import sys, collapse_lab.experiments_cli;"
         " print('mpmath' in sys.modules, 'decimal' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False False\n"
+    assert _probe(probe) == "False False\n"
+
+
+def test_cli_import_defaults_blas_to_one_thread():
+    probe = (
+        "import os, sys, collapse_lab.experiments_cli, numpy as np\n"
+        "blas = np.__config__.CONFIG['Build Dependencies']['blas']['name']\n"
+        "threads = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], 'openblas' in blas.lower(), threads)"
+    )
+    value, openblas, threads = _probe(probe, OPENBLAS_NUM_THREADS=None).split()
+    assert value == "1"
+    if openblas == "True" and threads != "None":
+        assert threads == "1"  # no idle BLAS worker beside the main thread
+    # a value the user set wins
+    assert _probe(probe, OPENBLAS_NUM_THREADS="3").split()[0] == "3"
+
+
+BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot", "vdot"}
+
+
+def test_package_makes_no_blas_call():
+    # the one-thread BLAS default costs nothing only while src/ never calls BLAS
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                name = "@"
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name == "@" or name in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_one_process_runs_load_no_process_pool():
+    # the pool's modules load where a pool starts, not on import or in one-process runs
+    probe = (
+        "import contextlib, io, sys\n"
+        "from collapse_lab.experiments_cli import main\n"
+        "pool_modules = ('multiprocessing', 'concurrent.futures.process')\n"
+        "def loaded(): return [m for m in pool_modules if m in sys.modules]\n"
+        "seen = [loaded()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['tree', '--c', '1.5', '--t', '2', '--trials', '10']) == 0\n"
+        "    seen.append(loaded())\n"
+        "    argv = ['collapse', '--n', '300', '--c', '1.5', '--trials', '3', '--threads', '1']\n"
+        "    assert main(argv) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen)"
+    )
+    assert _probe(probe) == "[[], [], []]\n"
 
 
 def test_collapse_rejects_threads_below_one(capsys):

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -701,6 +702,36 @@ def test_run_trial_walks_the_alive_vertices_once(monkeypatch):
         monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     run_trial(g, 3, rng_from_seed(0))
     assert calls == ["scan_edges"]
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 11])
+def test_run_trial_drops_phase_one_snapshot_before_epoch2(monkeypatch, t):
+    # from t = 1 on, nothing holds phase 1's snapshot while epoch 2 runs; at t = 0 it is the pool
+    class Snapshot(list):  # a list that takes weak references
+        pass
+
+    scan, epoch2 = engine.scan_edges, engine._epoch2
+    held, entered = [], []
+
+    def scan_with_weakref(*a):
+        pairs, snapshot = scan(*a)
+        snapshot = Snapshot(snapshot)
+        held.append(weakref.ref(snapshot))
+        return pairs, snapshot
+
+    def epoch2_checking(g, rng, pool):
+        entered.append(pool if t == 0 else held[0]())
+        return epoch2(g, rng, pool)
+
+    monkeypatch.setattr(engine, "scan_edges", scan_with_weakref)
+    monkeypatch.setattr(engine, "_epoch2", epoch2_checking)
+    g = sample_er(2000, 1.5 / 2000, mix_seed(214, t))
+    run_trial(g, t, rng_from_seed(0))
+    assert len(held) == 1
+    if t == 0:
+        assert entered[0] is held[0]()
+    else:
+        assert entered == [None]
 
 
 FULL_SCAN_ENTRIES = {

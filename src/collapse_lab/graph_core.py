@@ -12,10 +12,13 @@ implementation can replicate streams exactly); every rule that must match
 numpy's generator bit for bit lives in this module:
 
 * generator: NumPy ``PCG64``, instantiated as ``Generator(PCG64(seed))``;
-  ``random_rows`` gives the same streams for many seeds at once.
+  ``pcg64_states`` derives the starting states of many seeds at once,
+  ``fill_rows`` draws each state's stream into a row, and ``random_rows``
+  is the two together.
 * per-trial derivation: ``trial_seed = mix_seed(base_seed, trial_index)``
   where ``mix_seed`` adds ``trial_index * 0x9E3779B97F4A7C15`` mod 2^64 and
-  applies the splitmix64 finalizer (shift-xor-multiply chain below).
+  applies the splitmix64 finalizer (shift-xor-multiply chain below);
+  ``mix_seeds`` does so for many trial indices at once, in uint64 lanes.
 * bounded integers: ``bounded_draws(rng)(k)`` is ``int(rng.integers(k))``.
 * edge sampling: vertex pairs (u, v) with u < v are enumerated in row-major
   order; consecutive uniform draws U map to geometric gaps
@@ -44,8 +47,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64(z: int) -> int:
-    """One splitmix64 finalizer round: avalanche a 64-bit value."""
+def splitmix64(z: int | np.ndarray) -> int | np.ndarray:
+    """One splitmix64 finalizer round: avalanche a 64-bit int, or each lane of a uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -57,14 +60,24 @@ def mix_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed + index * _GOLDEN) & _MASK64)
 
 
+def mix_seeds(base_seed: int, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`mix_seed(base_seed, i)` for each index i in [0, 2^64), as uint64 lanes.
+
+    The lanes wrap mod 2^64, so masking the base first gives mix_seed's sum.
+    """
+    lanes = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN)
+    lanes += np.uint64(base_seed & _MASK64)
+    return splitmix64(lanes)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Fresh PCG64 generator for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _WORD = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 
 def _seed_hash(v: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
@@ -74,17 +87,25 @@ def _seed_hash(v: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
     return v ^ (v >> np.uint64(16)), h_next
 
 
-def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
-    """Fill row i of `out` with the doubles `rng_from_seed(seeds[i]).random()` gives.
+def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of each x * m, from 32-bit limbs so no product overflows."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _WORD, x >> _32
+    p01, p10 = x0 * m1, x1 * m0
+    mid = (x0 * m0 >> _32) + (p01 & _WORD) + (p10 & _WORD)
+    return x1 * m1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
 
-    The generator states are numpy's, computed for all the seeds at once:
+
+def pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """The PCG64 state `rng_from_seed` starts from, for each seed of a uint64 array.
+
+    Column i is (state high, state low, inc high, inc low) as uint64 words.
     SeedSequence(s) hashes the seed's 32-bit words (zero-padded to 4) into a
     pool, mixes the pool and hashes out the halves of (initstate, initseq);
     PCG64 sets inc = 2 initseq + 1 and state = (initstate + inc) * multiplier
-    + inc.  One generator takes each state in turn and fills that row.
+    + inc mod 2^128, done here on 64-bit halves with explicit carries.
     """
-    s = np.array([x & _MASK64 for x in seeds], dtype=np.uint64)
-    pool, h = [s & _WORD, s >> np.uint64(32), 0 * s, 0 * s], 0x43B0D7E5
+    pool, h = [seeds & _WORD, seeds >> _32, 0 * seeds, 0 * seeds], 0x43B0D7E5
     for k in range(4):
         pool[k], h = _seed_hash(pool[k], h, 0x931E8875)
     for src, dst in itertools.permutations(range(4), 2):
@@ -94,15 +115,39 @@ def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
     words, h = pool + pool, 0x8B51F9DD  # 8 output words cycle over the pool
     for k in range(8):
         words[k], h = _seed_hash(words[k], h, 0x58F38DED)
-    halves = [(words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in (0, 2, 4, 6)]
+    init_hi, init_lo, seq_hi, seq_lo = (words[k] | (words[k + 1] << _32) for k in (0, 2, 4, 6))
+    del pool, words  # a chunk's hash arrays are most of its memory: free them for the step
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    lo = init_lo + inc_lo
+    hi = init_hi + inc_hi + (lo < init_lo)  # a wrapped low word carries 1
+    # (hi, lo) * multiplier mod 2^128: the full low product, and the cross products' low words
+    hi = _mulhi(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
+    lo *= np.uint64(_PCG_MULT_LO)
+    state_lo = lo + inc_lo
+    return np.stack((hi + inc_hi + (state_lo < lo), state_lo, inc_hi, inc_lo))
+
+
+def fill_rows(states: np.ndarray, out: np.ndarray) -> None:
+    """Fill row i of `out` with the doubles PCG64 gives from column i of `states`.
+
+    One generator takes each state in turn, set from the column's halves
+    through one reused state dict, and fills that row; it does not outlive
+    the call.
+    """
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for row, init_hi, init_lo, seq_hi, seq_lo in zip(out, *halves, strict=True):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = (((init_hi << 64 | init_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state, "inc": inc}}
+    pcg: dict[str, int] = {}
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
+    for row, s_hi, s_lo, i_hi, i_lo in zip(out, *states.tolist(), strict=True):
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bit_generator.state = state
         rng.random(out=row)
+
+
+def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
+    """Fill row i of `out` with the doubles `rng_from_seed(seeds[i]).random()` gives."""
+    fill_rows(pcg64_states(np.array([x & _MASK64 for x in seeds], dtype=np.uint64)), out)
 
 
 _WORDS = 1024  # 32-bit words per numpy call

@@ -35,11 +35,13 @@ h <= s).  The tests hold this rule to a literal round-by-round simulation.
 
 Reproducibility: estimate_gamma gives trial i the generator
 rng_from_seed(mix_seed(seed, i)), so any single tree can be re-drawn in
-isolation.  It draws a block of trees at once, one row of doubles per tree
-filled by graph_core.random_rows, and applies the layer rule to the whole
-block as array operations.  A row too short for its tree (o_t past the
-row's end) is drawn again from its seed with twice the width, until every
-tree fits.
+isolation.  It derives the seeds and PCG64 states of _SEED_CHUNK trials at
+once, as array operations (graph_core.mix_seeds and pcg64_states), then
+draws the chunk's trees a block at a time, one row of doubles per tree
+filled from its state by graph_core.fill_rows, and applies the layer rule
+to the whole block as array operations.  A row too short for its tree (o_t
+past the row's end) is drawn again from its seed with twice the width,
+until every tree fits; each such pass derives a trial's state once.
 """
 
 from __future__ import annotations
@@ -50,11 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import mix_seed, random_rows
+from .graph_core import fill_rows, mix_seeds, pcg64_states
 
 _CDF_TAIL = 1e-16
 _FIRST_WIDTH = 64  # doubles per tree in the first pass: a mean tree at c = 1.5, t = 6 reads 21
 _BLOCK_DOUBLES = 2**13  # doubles in one block of rows: 64 KB
+_SEED_CHUNK = 2**10  # trials whose seeds and generator states are derived at once: 32 KB of states
 
 
 def _poisson_cdf(lam: float) -> np.ndarray:
@@ -159,12 +162,15 @@ def estimate_gamma(c: float, t: int, trials: int, seed: int) -> TreeTrialStats:
         rows = max(1, _BLOCK_DOUBLES // width)
         u = np.empty((rows, width))
         short = []
-        for start in range(0, len(todo), rows):
-            block = todo[start : start + rows]
-            random_rows([mix_seed(seed, i) for i in block.tolist()], u[: len(block)])
-            height, degree, fits = _block_fates(cdf, t, u[: len(block)])
-            fates[block[fits]] = np.column_stack((height, degree))[fits]
-            short.append(block[~fits])
+        for lo in range(0, len(todo), _SEED_CHUNK):
+            chunk = todo[lo : lo + _SEED_CHUNK]
+            states = pcg64_states(mix_seeds(seed, chunk))
+            for start in range(0, len(chunk), rows):
+                block = chunk[start : start + rows]
+                fill_rows(states[:, start : start + rows], u[: len(block)])
+                height, degree, fits = _block_fates(cdf, t, u[: len(block)])
+                fates[block[fits]] = np.column_stack((height, degree))[fits]
+                short.append(block[~fits])
         todo, width = np.concatenate(short), 2 * width
     steps, degrees = fates.T
     # a root first isolated at round s counts for every entry from s on

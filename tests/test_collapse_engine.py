@@ -31,6 +31,7 @@ from collapse_lab.collapse_engine import (
     dominated_set,
     find_dominator,
     has_universal_vertex,
+    is_universal_degree,
     prune_phase,
     run_core,
     run_epoch1,
@@ -47,7 +48,7 @@ from collapse_lab.graph_core import (
     sample_er,
 )
 from collapse_lab.simplicial_oracle import clique_census, euler_characteristic
-from collapse_lab.theory import expected_dominated_pairs
+from collapse_lab.theory import expected_dominated_pairs, expected_universal_vertices
 from references import _scan, epoch2_sorted_pool, is_closed_nbhd_subset, walk_phases
 
 
@@ -1036,3 +1037,46 @@ def test_union_of_every_graph_up_to_five_vertices_scans_as_its_parts():
             offset += n
     union = scan_edges(graph(offset, edges))
     assert union == scan_edges(offset, *np.array(edges).T) == (pairs, dominated)
+
+
+def test_exhaustive_universal_vertex_expectation_at_six_vertices():
+    # all 2^15 graphs on 6 vertices, one union per edge count k: a vertex of
+    # degree 5 in the union is adjacent to all the others of its own graph
+    pairs = np.array(list(itertools.combinations(range(6), 2)))
+    bits = (np.arange(2**15)[:, None] >> np.arange(15)) & 1
+    universal_by_k = []
+    for k in range(16):
+        graph_at, pair_at = np.nonzero(bits[bits.sum(1) == k])
+        union = AdjacencyGraph(6 * math.comb(15, k), pairs[pair_at] + 6 * graph_at[:, None])
+        universal_by_k.append(sum(is_universal_degree(6, union.degree(v)) for v in range(union.n)))
+    assert universal_by_k[15] == 6 and universal_by_k[4] == 0
+    for p in (0.1, 0.3, 0.5, 0.9):
+        exact = math.fsum(m * p**k * (1 - p) ** (15 - k) for k, m in enumerate(universal_by_k))
+        assert exact == pytest.approx(expected_universal_vertices(6, p), rel=1e-12, abs=0), p
+
+
+def test_core_of_every_graph_up_to_five_vertices_is_order_free():
+    # the strong-collapse core is unique up to isomorphism (Barmak & Minian),
+    # so each graph's sorted core degree sequence is the same in every order;
+    # a removal keeps the dominator, so no connected component ever empties
+    parts, edges, offset = [], [], 0
+    for n in range(1, 6):
+        all_pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(all_pairs)):
+            edges += [(offset + u, offset + v) for j, (u, v) in enumerate(all_pairs) if mask >> j & 1]
+            parts.append(range(offset, offset + n))
+            offset += n
+    assert len(parts) == 1099
+    union = graph(offset, edges)
+    whole = nx.empty_graph(offset)
+    whole.add_edges_from(edges)
+    components = list(nx.connected_components(whole))
+    sequences = []
+    for order_rng in (None, rng_from_seed(mix_seed(250, 0)), rng_from_seed(mix_seed(250, 1))):
+        g = union.copy()
+        run_core(g, order_rng=order_rng)
+        assert scan_edges(g)[1] == []
+        alive = set(g.alive_ids())
+        assert all(alive & c for c in components)
+        sequences.append([sorted(g.degree(v) for v in part if v in alive) for part in parts])
+    assert sequences[0] == sequences[1] == sequences[2]

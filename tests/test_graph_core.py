@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from collapse_lab.graph_core import (
     AdjacencyGraph,
     csr_rows,
+    fill_rows,
     mix_seed,
+    mix_seeds,
+    pcg64_states,
     random_rows,
     rng_from_seed,
     sample_edges,
@@ -42,6 +45,36 @@ def test_mix_seed_is_64_bit_and_stable():
     for base, idx in [(0, 1), (7, 9), (2**63, 12345)]:
         v = mix_seed(base, idx)
         assert 0 <= v < 2**64
+
+
+def test_mix_seeds_equals_mix_seed_lane_by_lane():
+    indices = list(range(5000)) + [2**32, 2**63 - 1]
+    for base in (0, 42, 2**63, 2**64 - 1, -1, 2**64, 2**70 + 5):
+        got = mix_seeds(base, np.array(indices, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(base, i) for i in indices], base
+    # int64 indices, as estimate_gamma passes them, and an empty chunk
+    assert mix_seeds(7, np.arange(3)).tolist() == [mix_seed(7, i) for i in range(3)]
+    assert mix_seeds(7, np.arange(0)).shape == (0,)
+
+
+def test_pcg64_states_are_the_generators_own():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [mix_seed(32, i) for i in range(200)]
+    states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert states.shape == (4, len(seeds)) and states.dtype == np.uint64
+    for seed, (s_hi, s_lo, i_hi, i_lo) in zip(seeds, states.T.tolist()):
+        want = rng_from_seed(seed).bit_generator.state["state"]
+        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"]), seed
+
+
+def test_fill_rows_from_a_slice_of_states():
+    seeds = [mix_seed(33, i) for i in range(40)]
+    states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    out = np.empty((15, 9))
+    fill_rows(states[:, 20:35], out)
+    assert np.array_equal(out, [rng_from_seed(s).random(9) for s in seeds[20:35]])
+    with pytest.raises(ValueError):
+        fill_rows(states[:, :3], out[:2])
 
 
 def test_rng_from_seed_reproducible():

@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from collapse_lab import tree_process
+from collapse_lab import graph_core, tree_process
 from collapse_lab.collapse_engine import dominated_set
 from collapse_lab.graph_core import mix_seed, rng_from_seed
 from collapse_lab.theory import gamma_sequence
@@ -340,6 +340,56 @@ def test_block_kernel_with_tiny_blocks_and_rows(monkeypatch):
     for c, t in ((0.5, 4), (1.5, 1), (1.5, 5), (3.0, 4), (20.0, 2)):
         for seed in (0, 1, 2):
             assert estimate_gamma(c, t, 37, seed) == estimate_gamma_per_tree(c, t, 37, seed)
+
+
+def test_block_kernel_with_seed_chunks_across_blocks(monkeypatch):
+    """Chunks of 5 seeds under blocks of 4 rows: blocks end at chunk ends, not every 4 trials."""
+    monkeypatch.setattr(tree_process, "_FIRST_WIDTH", 2)
+    monkeypatch.setattr(tree_process, "_BLOCK_DOUBLES", 8)
+    monkeypatch.setattr(tree_process, "_SEED_CHUNK", 5)
+    for c, t in ((0.5, 4), (1.5, 1), (1.5, 5), (3.0, 4)):
+        for seed in (0, 2**64 - 1):
+            assert estimate_gamma(c, t, 37, seed) == estimate_gamma_per_tree(c, t, 37, seed)
+
+
+def test_estimate_gamma_takes_seeds_outside_64_bits():
+    for c in (1.5, 3.0):
+        for t in (1, 4):
+            for seed in (-1, 2**64, 2**64 + 3):
+                got = estimate_gamma(c, t, 131, seed)
+                assert got == estimate_gamma_per_tree(c, t, 131, seed), (c, t, seed)
+            assert estimate_gamma(c, t, 131, -1) == estimate_gamma(c, t, 131, 2**64 - 1)
+
+
+def test_estimate_gamma_derives_states_once_per_chunk(monkeypatch):
+    """No scalar mix_seed, and one state derivation per chunk of trials in each doubling pass."""
+    mix_calls, derived, fated = [], [], []
+
+    def spy(log, fn):
+        def wrapped(*args):
+            log.append(args)
+            return fn(*args)
+
+        return wrapped
+
+    for owner in (graph_core, tree_process):  # the module's own name, and an imported one
+        monkeypatch.setattr(owner, "mix_seed", spy(mix_calls, graph_core.mix_seed), raising=False)
+    monkeypatch.setattr(tree_process, "pcg64_states", spy(derived, tree_process.pcg64_states))
+    monkeypatch.setattr(tree_process, "_block_fates", spy(fated, tree_process._block_fates))
+    stats = estimate_gamma(1.5, 6, 4000, 0)
+    assert stats == estimate_gamma_per_tree(1.5, 6, 4000, 0)
+    assert mix_calls == []
+    chunks = [len(seeds) for seeds, in derived]
+    blocks = [u.shape for _, _, u in fated]
+    rows_by_width: dict[int, int] = {}
+    for rows, width in blocks:
+        rows_by_width[width] = rows_by_width.get(width, 0) + rows
+    assert rows_by_width[tree_process._FIRST_WIDTH] == 4000 and len(rows_by_width) >= 2
+    # every row drawn has its state derived once, in chunks of at most _SEED_CHUNK
+    assert sum(chunks) == sum(rows_by_width.values())
+    assert max(chunks) <= tree_process._SEED_CHUNK
+    per_pass = sum(-(-rows // tree_process._SEED_CHUNK) for rows in rows_by_width.values())
+    assert len(chunks) <= per_pass < len(blocks)
 
 
 def test_estimate_gamma_memory():

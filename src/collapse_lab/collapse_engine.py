@@ -7,7 +7,11 @@ homotopy type of the clique complex.  The engine never stores more than the
 is written twice: for one vertex in `_dominators`, and for many at once on
 the CSR rows in the array kernel `_verdicts`, which serves both the full scan
 `scan_edges` (every alive vertex, with pair counts) and the pruning phases.
-The tests hold the two to each other.
+The kernel drops most candidates with one AND: each vertex's closed row is
+hashed into a 64-bit signature (`_signatures`), and N[v] subset-of N[w] can
+hold only if the bits of v's live N[v] all lie in w's signature.  It checks
+the rest in full.  The tests hold the two forms to each other, and hold the
+kernel to them with every candidate let through.
 
 One scan gives the dominated-pair count and the dominated set: `scan_edges`
 on the graph's own rows.  `run_trial` calls it once, `dominated_set` and
@@ -75,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import AdjacencyGraph, bounded_draws, csr_rows
+from .graph_core import _GOLDEN, AdjacencyGraph, bounded_draws, csr_rows
 
 _VERIFY_BLOCK = 2**15  # CSR entries, or lookups, per block of the array scans: about 3 MB at peak
 _POOL_SHIFT = 11  # epoch 2's pool buckets span 2^11 ids each
@@ -179,6 +183,37 @@ def _spans(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
         a = b
 
 
+def _bits(x: np.ndarray) -> np.ndarray:
+    """bit(x) = 1 << (the top 6 bits of x * 0x9E3779B97F4A7C15 mod 2^64), per id x, as uint64."""
+    h = x.astype(np.uint64)
+    h *= np.uint64(_GOLDEN)
+    h >>= np.uint64(58)
+    return np.left_shift(np.uint64(1), h, out=h)
+
+
+def _or_runs(bits: np.ndarray, first: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The OR of each run bits[first[k] : first[k] + size[k]], the runs back to back; 0 if empty."""
+    out = np.zeros(len(size), dtype=np.uint64)
+    full = size > 0  # a nonempty run ends where the next begins, the last at the end of bits
+    out[full] = np.bitwise_or.reduceat(bits, first[full])
+    return out
+
+
+def _signatures(dst: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """sig[v], the OR of bit(x) over v and its whole row: a one-word Bloom filter of N[v].
+
+    (B. H. Bloom, "Space/time trade-offs in hash coding with allowable
+    errors", CACM 1970.)  Rows never change and vertices only die, so sig[w]
+    holds the bit of every member of w's live N[w], in every scan, phase and
+    copy.  Built a `_spans` block at a time: sig is the only n-sized array.
+    """
+    sig = np.empty(len(start) - 1, dtype=np.uint64)
+    for a, b, _ in _spans(start):
+        first, size = start[a:b] - start[a], np.diff(start[a : b + 1])
+        sig[a:b] = _bits(np.arange(a, b)) | _or_runs(_bits(dst[start[a] : start[b]]), first, size)
+    return sig
+
+
 def _blocks(lo: np.ndarray, size: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """`_spans` of the spans [lo[k], lo[k] + size[k]): (a, b, owner, pos), pos each position."""
     ends = np.concatenate(([0], np.cumsum(size)))
@@ -196,11 +231,16 @@ def _live_rows(
         yield a, b, owner[live], y[live]
 
 
-def _views(g: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """numpy views of g's rows, row starts, alive flags and degrees, which write through."""
+def _views(g: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numpy views of g's rows, row starts, alive flags and degrees, which write through, and sig.
+
+    The signatures are built on first use and kept on g; later copies share them.
+    """
     dst = np.frombuffer(g._dst, dtype=g._dst.typecode)
     start, alive = np.frombuffer(g._start, dtype=np.int64), np.frombuffer(g._alive, dtype=bool)
-    return dst, start, alive, np.frombuffer(g._deg, dtype=dst.dtype)
+    if g._sig is None:
+        g._sig = _signatures(dst, start)
+    return dst, start, alive, np.frombuffer(g._deg, dtype=dst.dtype), g._sig
 
 
 def scan_edges(
@@ -217,16 +257,16 @@ def scan_edges(
     `phase-sparse`'s size (n = 10^5, mean degree 11.5).
     """
     if isinstance(g, AdjacencyGraph):
-        dst, start, alive, deg = _views(g)
+        dst, start, alive, deg, sig = _views(g)
     else:
         dst, start = csr_rows(g, us, vs)
-        alive, deg = np.ones(g, dtype=bool), np.diff(start)
+        alive, deg, sig = np.ones(g, dtype=bool), np.diff(start), _signatures(dst, start)
     pairs = 0
     dominated = np.zeros(len(alive), dtype=bool)
     for a, b, owner in _spans(start):
         y = dst[start[a] : start[b]]
         live = alive[y] & alive[a:b][owner]
-        counts = _verdicts(dst, start, deg, np.arange(a, b), owner[live], y[live])
+        counts = _verdicts(dst, start, deg, sig, np.arange(a, b), owner[live], y[live])
         pairs += int(counts.sum())
         dominated[a:b] = counts > 0
     return pairs, np.flatnonzero(dominated).tolist()
@@ -236,6 +276,7 @@ def _verdicts(
     dst: np.ndarray,
     start: np.ndarray,
     deg: np.ndarray,
+    sig: np.ndarray,
     vs: np.ndarray,
     owner: np.ndarray,
     y: np.ndarray,
@@ -243,27 +284,26 @@ def _verdicts(
     """How many neighbors dominate each of the alive vertices vs.
 
     y[i] runs over the alive neighbors of vs[owner[i]], grouped by owner and
-    ascending; `dst` and `start` are the CSR rows, `deg` the live degrees.
-    Each entry is the candidate "y[i] dominates vs[owner[i]]".  A leaf v is
-    dominated by its one neighbor.  Otherwise w dominates v iff N(v) - {w}
-    lies in N(w), so only if deg(w) >= deg(v): a filter keeps such a pair
-    when (w, x) is an edge, x the smallest neighbor of v other than w, and
-    every pair that passes is then checked in full.  Every lookup bisects the
-    candidate's row, so the graph needs no key array, and only the rows given
-    count: dead entries of a dominator's row match no alive vertex.
+    ascending; `dst` and `start` are the CSR rows, `deg` the live degrees and
+    `sig` the row signatures of `_signatures`.  Each entry is the candidate
+    "y[i] dominates vs[owner[i]]".  The bits of v's live N[v] must all lie in
+    sig[w], so a filter keeps a pair only then, one AND per candidate.  A leaf
+    v is dominated by its one neighbor; every other pair that passes is
+    checked in full: w dominates v iff N(v) - {w} lies in N(w).  Every lookup
+    bisects the candidate's row, so the graph needs no key array, and only
+    the rows given count: dead entries of a dominator's row match no alive
+    vertex.
     """
     vdeg = deg[vs]
     first = np.cumsum(vdeg) - vdeg  # where each vertex's neighbors begin in y
-    keep = deg[y] >= vdeg[owner]
+    live = _bits(vs) | _or_runs(_bits(y), first, vdeg)
+    keep = (live[owner] & ~sig[y]) == 0
     owner, w = owner[keep], y[keep]
-    at = first[owner]
-    x = y[at]
-    x = np.where(x == w, y[at + (vdeg[owner] > 1)], x)  # a leaf takes x = w, which passes
+    leaf = vdeg[owner] == 1
+    counts = np.bincount(owner[leaf], minlength=len(vdeg))
+    owner, w = owner[~leaf], w[~leaf]
     lo = start[w]
     size = start[w + 1] - lo
-    keep = (x == w) | _in_rows(dst, lo, size, x)
-    owner, w, lo, size = owner[keep], w[keep], lo[keep], size[keep]
-    counts = np.zeros(len(vdeg), dtype=np.int64)
     # K_n needs n^3 lookups: pairs go in blocks of _VERIFY_BLOCK, or alone if they need more
     for a, b, pair, pos in _blocks(first[owner], vdeg[owner]):
         z = y[pos]
@@ -307,7 +347,7 @@ def _run_phases(
     if t == 0:
         return CollapseTrace([], initial_f0, False), snapshot
     phases: list[PhaseReport] = []
-    dst, start, alive, deg = _views(g)
+    dst, start, alive, deg, sig = _views(g)
     unranked = np.iinfo(dst.dtype).max  # every vertex outside the snapshot
     rank = np.full(g.n, unranked, dtype=dst.dtype)
     touched = np.zeros(g.n, dtype=bool)
@@ -328,7 +368,7 @@ def _run_phases(
                 dominated = now.copy()
                 lost = now & touched[vs[a:b]]
                 if lost.any():
-                    dominated[lost] = _verdicts(dst, start, deg, vs[a:b], owner, y)[lost] > 0
+                    dominated[lost] = _verdicts(dst, start, deg, sig, vs[a:b], owner, y)[lost] > 0
                 if dominated.any():
                     gone[todo[a:b][dominated]] = True
                     v, y_gone = vs[a:b][dominated], y[dominated[owner]]
@@ -346,7 +386,7 @@ def _run_phases(
         phases.append(PhaseReport(removed, f0, isolated))
         dominated = np.zeros(len(near), dtype=bool)
         for a, b, owner, y in _live_rows(dst, start, alive, near):
-            dominated[a:b] = _verdicts(dst, start, deg, near[a:b], owner, y) > 0
+            dominated[a:b] = _verdicts(dst, start, deg, sig, near[a:b], owner, y) > 0
         snapshot = near[dominated].tolist()
         if not removed:
             break

@@ -12,9 +12,8 @@ implementation can replicate streams exactly); every rule that must match
 numpy's generator bit for bit lives in this module:
 
 * generator: NumPy ``PCG64``, instantiated as ``Generator(PCG64(seed))``;
-  ``pcg64_states`` derives the starting states of many seeds at once,
-  ``fill_rows`` draws each state's stream into a row, and ``random_rows``
-  is the two together.
+  ``pcg64_states`` derives the starting states of many seeds at once, and
+  ``fill_rows`` draws each state's stream into a row.
 * per-trial derivation: ``trial_seed = mix_seed(base_seed, trial_index)``
   where ``mix_seed`` adds ``trial_index * 0x9E3779B97F4A7C15`` mod 2^64 and
   applies the splitmix64 finalizer (shift-xor-multiply chain below);
@@ -28,7 +27,8 @@ numpy's generator bit for bit lives in this module:
 
 `sample_edges(n, p, seed)` is that stream as two numpy arrays; it refuses
 n < 0 and p outside [0, 1], and `rng_from_seed` takes the seed mod 2^64.
-`sample_er(n, p, seed)` is the `AdjacencyGraph` of those arrays.  Each
+`sample_er(n, p, seed)` is the `AdjacencyGraph` of those arrays, handed
+to the constructor's builder as they are.  Each
 array stage holds about its own output: the sampler one index buffer, which
 becomes vs, `csr_rows` one key array, and the graph one copy of the rows.
 """
@@ -145,11 +145,6 @@ def fill_rows(states: np.ndarray, out: np.ndarray) -> None:
         rng.random(out=row)
 
 
-def random_rows(seeds: Sequence[int], out: np.ndarray) -> None:
-    """Fill row i of `out` with the doubles `rng_from_seed(seeds[i]).random()` gives."""
-    fill_rows(pcg64_states(np.array([x & _MASK64 for x in seeds], dtype=np.uint64)), out)
-
-
 _WORDS = 1024  # 32-bit words per numpy call
 _MASK32 = 0xFFFFFFFF
 
@@ -198,28 +193,34 @@ class AdjacencyGraph:
     flag and lowers its alive neighbors' degrees, so a vertex's neighbors are
     the alive entries of its whole row, and a removed vertex has degree 0.
     The flags are a `bytearray` and the degrees an `array` of the ids' type,
-    so numpy can view and write both in place.
+    so numpy can view and write both in place.  `_sig` holds the row
+    signatures of `collapse_engine`'s scan once it has built them; like the
+    rows, they never change, and copies share them.
     """
 
-    __slots__ = ("n", "_alive", "_deg", "_dst", "_start")
+    __slots__ = ("n", "_alive", "_deg", "_dst", "_start", "_sig")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         pairs = pairs.reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            outside = pairs[(pairs < 0) | (pairs >= n)]
-            raise ValueError(f"vertex id {outside[0]} out of range [0, {n})")
-        us, vs = pairs[:, 0], pairs[:, 1]
+        self._lay_out(n, pairs[:, 0], pairs[:, 1])
+
+    def _lay_out(self, n: int, us: np.ndarray, vs: np.ndarray) -> None:
+        """Check the edges (us[i], vs[i]) and lay out their rows: the one builder of a graph."""
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
+        if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+            i = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n))[0]
+            bad = us[i] if not 0 <= us[i] < n else vs[i]
+            raise ValueError(f"vertex id {bad} out of range [0, {n})")
         if (us == vs).any():
             raise ValueError(f"self-loop at vertex {us[us == vs][0]} rejected")
         dst, start = csr_rows(n, us, vs)
-        del pairs, us, vs  # only the rows are kept, each copied once
         self.n = n
         self._alive = bytearray([1]) * n
         self._dst, self._start = _as_array(dst), _as_array(start)
         self._deg = _as_array(np.diff(start).astype(dst.dtype))
+        self._sig = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -289,7 +290,7 @@ class AdjacencyGraph:
 
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph.__new__(AdjacencyGraph)
-        g.n, g._dst, g._start = self.n, self._dst, self._start
+        g.n, g._dst, g._start, g._sig = self.n, self._dst, self._start, self._sig
         g._alive = bytearray(self._alive)
         g._deg = self._deg[:]
         return g
@@ -417,4 +418,6 @@ def sample_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_er(n: int, p: float, seed: int) -> AdjacencyGraph:
     """An `AdjacencyGraph` holding the edges of `sample_edges(n, p, seed)`."""
-    return AdjacencyGraph(n, np.column_stack(sample_edges(n, p, seed)))
+    g = AdjacencyGraph.__new__(AdjacencyGraph)
+    g._lay_out(n, *sample_edges(n, p, seed))
+    return g

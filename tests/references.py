@@ -19,10 +19,13 @@ from collapse_lab.collapse_engine import (
     find_dominator,
 )
 from collapse_lab.graph_core import (
+    _MASK64,
     AdjacencyGraph,
     _split_pairs,
     bounded_draws,
+    fill_rows,
     mix_seed,
+    pcg64_states,
     rng_from_seed,
 )
 from collapse_lab.tree_process import TreeTrialStats, _poisson_cdf
@@ -113,6 +116,11 @@ def _pair_index_to_uv(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (u, v), u < v, at the row-major indices idx: `_split_pairs` on a copy."""
     vs = idx.copy()
     return _split_pairs(vs, n), vs
+
+
+def random_rows(seeds: list[int], out: np.ndarray) -> None:
+    """Fill row i of `out` with the doubles `rng_from_seed(seeds[i]).random()` gives."""
+    fill_rows(pcg64_states(np.array([x & _MASK64 for x in seeds], dtype=np.uint64)), out)
 
 
 def sample_edges_one_shot(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,12 @@ against a full-rescan reimplementation, and run_trial's one scan and the pool
 it hands from epoch 1 to epoch 2 are held to the full-scan wrappers.
 """
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 import weakref
 
@@ -945,6 +947,63 @@ def test_scan_edges_on_the_graph_across_block_boundaries(monkeypatch, block):
         assert scan_edges(g) == _scan(g) == scan_edges(n, *g._edge_arrays()), (n, c)
         run_epoch1(g, 1)
         assert scan_edges(g) == _scan(g), (n, c)
+
+
+def bit(x):
+    """The signature bit of id x, by the stated rule on Python ints."""
+    return 1 << ((x * 0x9E3779B97F4A7C15 % 2**64) >> 58)
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_signatures_follow_the_bit_rule(monkeypatch, block):
+    # sig[v] ORs the bits of v and of its whole row; blocks of vertex ranges
+    # cut the build at every offset, and isolated vertices hold their own bit
+    if block is not None:
+        monkeypatch.setattr(engine, "_VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((1, 50, 400), (0.5, 3.0, 12.0))):
+        g = sample_er(n, min(1.0, c / n), mix_seed(263, k))
+        expect = [functools.reduce(operator.or_, map(bit, [v, *g._live(v)])) for v in range(n)]
+        assert engine._views(g)[4].tolist() == expect, (n, c)
+
+
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_scan_and_phases_with_a_blind_filter(monkeypatch, block):
+    # every id gets the same bit, so every candidate passes the signature
+    # filter and the full check alone decides each pair: the scans in both
+    # forms, before and after removals, and the phases need no filter
+    monkeypatch.setattr(engine, "_bits", lambda x: np.ones(len(x), dtype=np.uint64))
+    if block is not None:
+        monkeypatch.setattr(engine, "_VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((60, 300), (1.5, 3.0, 12.0))):
+        seed = mix_seed(261, k)
+        g = sample_er(n, c / n, seed)
+        assert scan_edges(n, *sample_edges(n, c / n, seed)) == scan_edges(g) == _scan(g), (n, c)
+        assert g._sig.tolist() == [1] * n  # blind
+        h = g.copy()
+        assert run_core(g) == walk_phases(h)[0], (n, c)
+        assert g._alive == h._alive and g._deg == h._deg, (n, c)
+        g = sample_er(n, c / n, seed)
+        for v in rng_from_seed(k).choice(n, n // 4, replace=False).tolist():
+            g.remove_vertex(v)
+        assert scan_edges(g) == _scan(g) == scan_edges(n, *g._edge_arrays()), (n, c)
+
+
+def test_whole_row_signatures_cover_every_live_neighborhood():
+    # rows never change and vertices only die: the signatures a graph got
+    # from its whole rows stay as they were through removals and a phase,
+    # still hold the bits of every live N[v], and keep the scan exact
+    for k, (n, c) in enumerate(itertools.product((300, 3000), (1.5, 3.0, 12.0))):
+        g = sample_er(n, c / n, mix_seed(262, k))
+        assert scan_edges(g) == _scan(g), (n, c)
+        sig = g._sig.copy()
+        for v in rng_from_seed(k).choice(n, n // 4, replace=False).tolist():
+            g.remove_vertex(v)
+        run_epoch1(g, 1)
+        assert scan_edges(g) == _scan(g), (n, c)
+        assert np.array_equal(g._sig, sig) and g.copy()._sig is g._sig, (n, c)
+        for v in g.alive_ids():
+            live = functools.reduce(operator.or_, map(bit, g.neighbor_view(v) | {v}))
+            assert live & ~int(sig[v]) == 0, (n, c, v)
 
 
 def test_run_trial_lays_out_no_second_copy(monkeypatch):

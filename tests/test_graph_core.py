@@ -17,13 +17,12 @@ from collapse_lab.graph_core import (
     mix_seed,
     mix_seeds,
     pcg64_states,
-    random_rows,
     rng_from_seed,
     sample_edges,
     sample_er,
     splitmix64,
 )
-from references import _pair_index_to_uv, is_closed_nbhd_subset, sample_edges_one_shot
+from references import _pair_index_to_uv, is_closed_nbhd_subset, random_rows, sample_edges_one_shot
 
 # finalizer applied to 0 + k*golden is the published splitmix64 stream for seed 0
 SPLITMIX_STREAM_FROM_ZERO = [
@@ -151,6 +150,33 @@ def test_edge_ids_outside_the_range_rejected():
     for edge in [(0, 3), (-1, 0)]:  # -1 would index the last set
         with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
             AdjacencyGraph(3, [edge])
+
+
+def test_the_first_id_outside_the_range_is_named():
+    # edges are read in order, each edge's first end before its second
+    for edges, bad in [([(0, 1), (1, 5), (-1, 0)], 5), ([(0, 1), (-2, 7)], -2), ([(2, 9)], 9)]:
+        with pytest.raises(ValueError, match=rf"vertex id {bad} out of range \[0, 3\)"):
+            AdjacencyGraph(3, edges)
+
+
+def test_sample_er_hands_the_sampler_arrays_to_the_builder(monkeypatch):
+    # the constructor and sample_er share one builder from (us, vs): the
+    # sampler's arrays go in as they are, with no (m, 2) stack between
+    graphs = {}
+    for k, (n, p) in enumerate(itertools.product((0, 1, 2, 40, 300), (0.0, 0.05, 0.5, 1.0))):
+        seed = mix_seed(305, k)
+        us, vs = sample_edges(n, p, seed)
+        graphs[n, p, seed] = AdjacencyGraph(n, list(zip(us.tolist(), vs.tolist())))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an (m, 2) copy of the edges")
+
+    monkeypatch.setattr(np, "column_stack", refuse)
+    monkeypatch.setattr(np, "stack", refuse)
+    for (n, p, seed), expect in graphs.items():
+        g = sample_er(n, p, seed)
+        assert g._dst == expect._dst and g._start == expect._start, (n, p)
+        assert g._deg == expect._deg and g._alive == expect._alive, (n, p)
 
 
 def test_repeated_edges_count_once():
@@ -492,10 +518,10 @@ def test_sample_edges_memory_at_phase_sparse_size():
 
 
 def test_sample_er_memory_at_phase_sparse_size():
-    # the sampler's output, its (m, 2) stack, the key array and the rows,
-    # each once: 23.5 MiB measured, and 32.3 MiB when the key array lived
-    # beside a second copy of the pairs and the rows went through bytes; the
-    # bound leaves 2.5 MiB of headroom
+    # the sampler's output, the key array and the rows, each once: 23.5 MiB
+    # measured, as when the builder took an (m, 2) stack of the output; 32.3
+    # MiB when the key array lived beside a second copy of the pairs and the
+    # rows went through bytes; the bound leaves 2.5 MiB of headroom
     n = 10**5
     tracemalloc.start()
     try:

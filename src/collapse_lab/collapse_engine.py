@@ -8,8 +8,9 @@ is written twice: for one vertex in `_dominators`, and for many at once on
 the CSR rows in the array kernel `_verdicts`, which serves both the full scan
 `scan_edges` (every alive vertex, with pair counts) and the pruning phases.
 The kernel drops most candidates with one AND: each vertex's closed row is
-hashed into a 64-bit signature (`_signatures`), and N[v] subset-of N[w] can
-hold only if the bits of v's live N[v] all lie in w's signature.  It checks
+hashed into a 64-bit signature (`_signatures` ORs the bits of its row, and
+the scan adds the vertex's own), and N[v] subset-of N[w] can hold only if
+the bits of v's live N[v] all lie in w's signature.  It checks
 the rest in full.  The tests hold the two forms to each other, and hold the
 kernel to them with every candidate let through.
 
@@ -61,7 +62,15 @@ a Fenwick tree of their sizes, so drawing the member of a given rank, and
 adding or dropping a neighbor, each take O(log n) tree steps and one edit of
 a short list, where one sorted list would move O(pool) entries.  A neighbor
 left with one live neighbor is dominated and one left with none is not, so
-`_dominators` tests only the others.
+`_dominators` tests only the others, and of those only the ones that may lie
+on a triangle.  A vertex v with two or more live neighbors that w dominates
+has another live neighbor x, and x lies in N[w]: v, w and x make a triangle.
+The open row signatures find every triangle vertex, since a common neighbor
+x puts bit(x) into the signatures of both v and w (`_on_triangles`).  A
+vertex of two or more live neighbors that they rule out is not dominated,
+and it was not in the pool before either, when its degree was higher.  The
+table costs a pass over the rows, so epoch 2 builds it only when its
+starting pool is a large share of the graph.
 
 Locality fact used throughout: deleting b can only change the domination
 status of b's neighbors.  For any v outside N[b], N[v] is untouched and every
@@ -83,6 +92,11 @@ from .graph_core import _GOLDEN, AdjacencyGraph, bounded_draws, csr_rows
 
 _VERIFY_BLOCK = 2**15  # CSR entries, or lookups, per block of the array scans: about 3 MB at peak
 _POOL_SHIFT = 11  # epoch 2's pool buckets span 2^11 ids each
+# Epoch 2 builds its triangle table when _TRIANGLE_SHARE * pool >= n.  The build costs
+# about 60-100 ns a vertex at n = 10^6; at n = 5 * 10^4 (medians of 15 alternating
+# runs) the table took epoch 2 from 33.5 to 31.2 ms at pool/n = 0.147 (c = 3, t = 0)
+# and from 17.2 to 18.1 ms at pool/n = 0.045, so it pays from about pool/n = 0.07.
+_TRIANGLE_SHARE = 8
 
 
 # -- trace records ----------------------------------------------------------
@@ -170,17 +184,21 @@ def _in_rows(dst: np.ndarray, lo: np.ndarray, size: np.ndarray, q: np.ndarray) -
     return dst[lo] == q
 
 
-def _spans(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+def _spans(ends: np.ndarray) -> Iterator[tuple[int, int]]:
     """Cut the spans [ends[k], ends[k + 1]) into blocks of about _VERIFY_BLOCK positions.
 
-    Yields (a, b, owner) for spans a..b-1 (one span alone if it is longer):
-    the index k - a of the span of each position ends[a] .. ends[b] - 1.
+    Yields (a, b) for spans a..b-1, one span alone if it is longer.
     """
     a = 0
     while a < len(ends) - 1:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] + _VERIFY_BLOCK, "right")) - 1)
-        yield a, b, np.repeat(np.arange(b - a, dtype=np.int32), np.diff(ends[a : b + 1]))
+        yield a, b
         a = b
+
+
+def _owner(ends: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The index k - a of the span of each position ends[a] .. ends[b] - 1, as `_spans` cuts them."""
+    return np.repeat(np.arange(b - a, dtype=np.int32), np.diff(ends[a : b + 1]))
 
 
 def _bits(x: np.ndarray) -> np.ndarray:
@@ -200,24 +218,27 @@ def _or_runs(bits: np.ndarray, first: np.ndarray, size: np.ndarray) -> np.ndarra
 
 
 def _signatures(dst: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """sig[v], the OR of bit(x) over v and its whole row: a one-word Bloom filter of N[v].
+    """The OR of bit(x) over v's whole row, per vertex v: a one-word Bloom filter of N(v).
 
     (B. H. Bloom, "Space/time trade-offs in hash coding with allowable
-    errors", CACM 1970.)  Rows never change and vertices only die, so sig[w]
-    holds the bit of every member of w's live N[w], in every scan, phase and
-    copy.  Built a `_spans` block at a time: sig is the only n-sized array.
+    errors", CACM 1970.)  The scan's callers OR in bit(v) to get sig[v], the
+    filter of N[v]; epoch 2's `_on_triangles` compares the open ones.  Rows
+    never change and vertices only die, so sig[w] holds the bit of every
+    member of w's live N[w], in every scan, phase and copy.  Built a
+    `_spans` block at a time: the result is the only n-sized array.
     """
     sig = np.empty(len(start) - 1, dtype=np.uint64)
-    for a, b, _ in _spans(start):
+    for a, b in _spans(start):
         first, size = start[a:b] - start[a], np.diff(start[a : b + 1])
-        sig[a:b] = _bits(np.arange(a, b)) | _or_runs(_bits(dst[start[a] : start[b]]), first, size)
+        sig[a:b] = _or_runs(_bits(dst[start[a] : start[b]]), first, size)
     return sig
 
 
 def _blocks(lo: np.ndarray, size: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """`_spans` of the spans [lo[k], lo[k] + size[k]): (a, b, owner, pos), pos each position."""
     ends = np.concatenate(([0], np.cumsum(size)))
-    for a, b, owner in _spans(ends):
+    for a, b in _spans(ends):
+        owner = _owner(ends, a, b)
         yield a, b, owner, np.arange(ends[a], ends[b]) + (lo[a:b] - ends[a:b])[owner]
 
 
@@ -240,6 +261,7 @@ def _views(g: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     start, alive = np.frombuffer(g._start, dtype=np.int64), np.frombuffer(g._alive, dtype=bool)
     if g._sig is None:
         g._sig = _signatures(dst, start)
+        g._sig |= _bits(np.arange(g.n))
     return dst, start, alive, np.frombuffer(g._deg, dtype=dst.dtype), g._sig
 
 
@@ -261,10 +283,11 @@ def scan_edges(
     else:
         dst, start = csr_rows(g, us, vs)
         alive, deg, sig = np.ones(g, dtype=bool), np.diff(start), _signatures(dst, start)
+        sig |= _bits(np.arange(g))
     pairs = 0
     dominated = np.zeros(len(alive), dtype=bool)
-    for a, b, owner in _spans(start):
-        y = dst[start[a] : start[b]]
+    for a, b in _spans(start):
+        owner, y = _owner(start, a, b), dst[start[a] : start[b]]
         live = alive[y] & alive[a:b][owner]
         counts = _verdicts(dst, start, deg, sig, np.arange(a, b), owner[live], y[live])
         pairs += int(counts.sum())
@@ -285,9 +308,11 @@ def _verdicts(
 
     y[i] runs over the alive neighbors of vs[owner[i]], grouped by owner and
     ascending; `dst` and `start` are the CSR rows, `deg` the live degrees and
-    `sig` the row signatures of `_signatures`.  Each entry is the candidate
+    `sig` the closed row signatures, `_signatures` with bit(v) ORed in.  Each
+    entry is the candidate
     "y[i] dominates vs[owner[i]]".  The bits of v's live N[v] must all lie in
-    sig[w], so a filter keeps a pair only then, one AND per candidate.  A leaf
+    sig[w], so a filter keeps a pair only then, one AND per candidate; where
+    every row of vs is whole, those bits are sig[v] itself.  A leaf
     v is dominated by its one neighbor; every other pair that passes is
     checked in full: w dominates v iff N(v) - {w} lies in N(w).  Every lookup
     bisects the candidate's row, so the graph needs no key array, and only
@@ -296,7 +321,10 @@ def _verdicts(
     """
     vdeg = deg[vs]
     first = np.cumsum(vdeg) - vdeg  # where each vertex's neighbors begin in y
-    live = _bits(vs) | _or_runs(_bits(y), first, vdeg)
+    if np.array_equal(vdeg, start[vs + 1] - start[vs]):
+        live = sig[vs]
+    else:
+        live = _bits(vs) | _or_runs(_bits(y), first, vdeg)
     keep = (live[owner] & ~sig[y]) == 0
     owner, w = owner[keep], y[keep]
     leaf = vdeg[owner] == 1
@@ -411,6 +439,25 @@ def core_vertices(g: AdjacencyGraph) -> list[int]:
 # -- epoch 2: one uniform dominated vertex at a time --------------------------
 
 
+def _on_triangles(g: AdjacencyGraph) -> bytearray:
+    """1 for each vertex v that may lie on a triangle of g, 0 for one that lies on none.
+
+    v gets a 1 when some w in its whole row has an open signature
+    (`_signatures`) that shares a bit with v's.  A triangle v, w, x puts
+    bit(x) into both, so every vertex on a triangle of live vertices gets a
+    1, for as long as rows stay as they are and vertices only die.
+    """
+    dst, start = np.frombuffer(g._dst, dtype=g._dst.typecode), np.frombuffer(g._start, np.int64)
+    sig = _signatures(dst, start)
+    tri = bytearray(g.n)
+    on = np.frombuffer(tri, dtype=bool)
+    for a, b in _spans(start):
+        owner = _owner(start, a, b)
+        hit = (sig[a:b][owner] & sig[dst[start[a] : start[b]]]) != 0
+        on[a:b] = np.bincount(owner[hit], minlength=b - a) > 0
+    return tri
+
+
 def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epoch2Trace:
     """Epoch 2 from `pool`, which must be the dominated set of g, ascending; it is left empty.
 
@@ -425,8 +472,16 @@ def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epo
     nodes that count the drawn member's bucket.  A neighbor that joins or
     leaves the pool is one `insort` or `del` in its bucket and one tree
     update, and `member` answers whether a vertex is in the pool.
+
+    A neighbor u left with two or more live neighbors is tested only where
+    the table of `_on_triangles` holds a 1.  If w dominates u, u's other live
+    neighbor x lies in N[w], so u, w and x make a triangle: a 0 means u is not
+    dominated now, and it was not in the pool before either, since its degree
+    was higher then.  The table is built only when the starting pool holds at
+    least a `_TRIANGLE_SHARE`-th of the ids; otherwise it is all ones.
     """
     n, shift = g.n, _POOL_SHIFT
+    tri = _on_triangles(g) if _TRIANGLE_SHARE * len(pool) >= n else b"\1" * n
     size = 1 << (n >> shift).bit_length()  # > the last bucket, (n - 1) >> shift
     buckets: list[list[int]] = [[] for _ in range(size)]
     member = bytearray(n)
@@ -467,6 +522,8 @@ def _epoch2(g: AdjacencyGraph, rng: np.random.Generator, pool: list[int]) -> Epo
         for u in nb:
             d = deg[u]
             if d > 1:
+                if not tri[u]:
+                    continue  # on no triangle: not dominated, and it was not before
                 lo, hi = start[u], start[u + 1]
                 row = dst[lo:hi]
                 if d != hi - lo:

@@ -35,6 +35,7 @@ becomes vs, `csr_rows` one key array, and the graph one copy of the rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -128,17 +129,23 @@ def pcg64_states(seeds: np.ndarray) -> np.ndarray:
     return np.stack((hi + inc_hi + (state_lo < lo), state_lo, inc_hi, inc_lo))
 
 
+@functools.cache
+def _row_filler() -> tuple[np.random.Generator, dict]:
+    """`fill_rows`' generator and the state dict it sets, made on first use."""
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {}}
+    return np.random.Generator(np.random.PCG64(0)), state
+
+
 def fill_rows(states: np.ndarray, out: np.ndarray) -> None:
     """Fill row i of `out` with the doubles PCG64 gives from column i of `states`.
 
-    One generator takes each state in turn, set from the column's halves
-    through one reused state dict, and fills that row; it does not outlive
-    the call.
+    One generator, made on the first call and kept, takes each state in
+    turn, set from the column's halves through one reused state dict, and
+    fills that row.  Every row sets the whole state, so no call sees what
+    an earlier one left.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    pcg: dict[str, int] = {}
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
+    rng, state = _row_filler()
+    bit_generator, pcg = rng.bit_generator, state["state"]
     for row, s_hi, s_lo, i_hi, i_lo in zip(out, *states.tolist(), strict=True):
         pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
         bit_generator.state = state
@@ -174,10 +181,10 @@ def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
             raise ValueError(f"bound must lie in [1, 2^32], got {k}")
         if k == 1:
             return 0
-        threshold = (2**32 - k) % k
         for w in words:
             m = w * k
-            if m & _MASK32 >= threshold:
+            # the threshold (2^32 - k) mod k is below k, so only a low word below k needs it
+            if (low := m & _MASK32) >= k or low >= (2**32 - k) % k:
                 return m >> 32
 
     return below
@@ -256,14 +263,14 @@ class AdjacencyGraph:
         return set(self._live(v))
 
     def non_isolated_count(self) -> int:
-        """Alive vertices with at least one neighbor."""
-        return sum(map(bool, self._deg))
+        """Alive vertices with at least one neighbor: a removed vertex has degree 0."""
+        return int(np.count_nonzero(np.frombuffer(self._deg, dtype=self._deg.typecode)))
 
     def edge_count(self) -> int:
         return sum(self._deg) // 2
 
     def max_degree(self) -> int:
-        return max(self._deg, default=0)
+        return int(np.frombuffer(self._deg, dtype=self._deg.typecode).max(initial=0))
 
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The alive edges (u, v), u < v, ascending, as two arrays."""

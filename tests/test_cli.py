@@ -717,6 +717,16 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert _probe(probe) == "False False\n"
 
 
+def test_cli_start_up_builds_no_row_generator():
+    # `fill_rows` makes its generator on the first call, so start-up pays no SeedSequence
+    probe = (
+        "import collapse_lab.experiments_cli as cli; cli.build_parser()\n"
+        "from collapse_lab import graph_core\n"
+        "print(graph_core._row_filler.cache_info().currsize)"
+    )
+    assert _probe(probe) == "0\n"
+
+
 def test_cli_import_defaults_blas_to_one_thread():
     probe = (
         "import os, sys, collapse_lab.experiments_cli, numpy as np\n"

@@ -41,6 +41,7 @@ from collapse_lab.collapse_engine import (
     run_trial,
     scan_edges,
 )
+from collapse_lab.experiments_cli import _default_phase_budget
 from collapse_lab.graph_core import (
     AdjacencyGraph,
     bounded_draws,
@@ -444,6 +445,90 @@ def test_epoch2_matches_the_sorted_pool_on_edge_cases(monkeypatch, shift):
         g = AdjacencyGraph(n, np.vstack((edges, [(n - 2, n - 1)])))
         assert n - 1 in dominated_set(g)
         assert_epoch2_matches_the_sorted_pool(g, 0, seed)
+
+
+# -- epoch 2's triangle table -----------------------------------------------------
+# A neighbor of degree >= 2 on no triangle is neither dominated nor in the
+# pool, so epoch 2 tests only the vertices with a 1 in `_on_triangles`.
+
+TABLE_ALWAYS, TABLE_NEVER = 2**62, 0  # _TRIANGLE_SHARE: any nonempty pool builds it, or none
+
+
+def on_live_triangles(g):
+    """The alive vertices that lie on a triangle of alive vertices, by brute force over rows."""
+    nb = {v: g.neighbor_view(v) for v in g.alive_ids()}
+    return {v for v in nb for u, w in itertools.combinations(nb[v], 2) if w in nb[u]}
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_open_signatures_leave_out_the_owner_bit(monkeypatch, block):
+    # `_signatures` ORs the bits of v's whole row only; an isolated vertex gets 0
+    if block is not None:
+        monkeypatch.setattr(engine, "_VERIFY_BLOCK", block)
+    for k, (n, c) in enumerate(itertools.product((1, 50, 400), (0.5, 3.0, 12.0))):
+        g = sample_er(n, min(1.0, c / n), mix_seed(271, k))
+        dst, start = np.frombuffer(g._dst, dtype=g._dst.typecode), np.frombuffer(g._start, np.int64)
+        expect = [functools.reduce(operator.or_, map(bit, g._live(v)), 0) for v in range(n)]
+        assert engine._signatures(dst, start).tolist() == expect, (n, c)
+
+
+def test_triangle_table_covers_every_live_triangle():
+    # built from whole rows, the table still covers every triangle once a
+    # quarter of the vertices is gone, and a table built then is the same
+    for k, (n, c) in enumerate(itertools.product((60, 2000), (1.5, 3.0, 12.0))):
+        g = sample_er(n, c / n, mix_seed(272, k))
+        tri = engine._on_triangles(g)
+        assert len(tri) == n and set(tri) <= {0, 1}
+        assert all(tri[v] for v in on_live_triangles(g)), (n, c)
+        for v in rng_from_seed(k).choice(n, n // 4, replace=False).tolist():
+            g.remove_vertex(v)
+        assert all(tri[v] for v in on_live_triangles(g)), (n, c)
+        assert engine._on_triangles(g) == tri, (n, c)
+        if (n, c) == (2000, 1.5):
+            assert sum(tri) < n / 4  # the table rules most vertices out
+    assert engine._on_triangles(graph(0, [])) == bytearray()
+
+
+@pytest.mark.parametrize("share", [TABLE_ALWAYS, TABLE_NEVER], ids=["always", "never"])
+def test_epoch2_matches_the_sorted_pool_with_the_table_forced(monkeypatch, share):
+    calls = []
+    build = engine._on_triangles
+    monkeypatch.setattr(engine, "_on_triangles", lambda g: calls.append(g.n) or build(g))
+    monkeypatch.setattr(engine, "_TRIANGLE_SHARE", share)
+    dense = [sample_er(n, 12 / n, mix_seed(273, n)) for n in (60, 2000)]
+    for k, (g, t) in enumerate(itertools.product([graph(*DIAMOND), complete(5), *dense], (0, 1, 2))):
+        for seed in range(8 if g.n < 10 else 2):
+            assert_epoch2_matches_the_sorted_pool(g, t, mix_seed(274, 8 * k + seed))
+    assert bool(calls) == (share == TABLE_ALWAYS)
+
+
+def test_epoch2_with_blind_bits(monkeypatch):
+    # every id gets the same bit, so every vertex with a neighbor gets a 1,
+    # epoch 2 tests all it would test without the table, and nothing changes
+    cases = [
+        (sample_er(n, c / n, mix_seed(275, k)), t)
+        for k, (n, c, t) in enumerate(itertools.product((60, 2000), (1.5, 12.0), (0, 1)))
+    ]
+    expect = [run_trial(g.copy(), t, rng_from_seed(k)) for k, (g, t) in enumerate(cases)]
+    monkeypatch.setattr(engine, "_bits", lambda x: np.ones(len(x), dtype=np.uint64))
+    monkeypatch.setattr(engine, "_TRIANGLE_SHARE", TABLE_ALWAYS)
+    for k, (g, t) in enumerate(cases):
+        assert g._sig is None  # the blind run builds its own signatures
+        assert list(engine._on_triangles(g)) == (np.diff(g._start) > 0).tolist()
+        assert run_trial(g, t, rng_from_seed(k)) == expect[k], k
+
+
+def test_epoch2_builds_the_table_only_for_a_large_pool(monkeypatch):
+    calls = []
+    build = engine._on_triangles
+    monkeypatch.setattr(engine, "_on_triangles", lambda g: calls.append(g.n) or build(g))
+    n, c = 2000, 1.5
+    for k in range(3):
+        g = sample_er(n, c / n, mix_seed(276, k))
+        run_trial(g, _default_phase_budget(c, None), rng_from_seed(k))
+    assert calls == []
+    run_trial(sample_er(n, c / n, mix_seed(276, 0)), 0, rng_from_seed(0))
+    assert calls == [n]
 
 
 # -- one scan per trial ----------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import graph_core
 from collapse_lab.graph_core import (
     AdjacencyGraph,
     csr_rows,
@@ -74,6 +75,20 @@ def test_fill_rows_from_a_slice_of_states():
     assert np.array_equal(out, [rng_from_seed(s).random(9) for s in seeds[20:35]])
     with pytest.raises(ValueError):
         fill_rows(states[:, :3], out[:2])
+
+
+def test_fill_rows_reuses_one_generator_and_resets_it_per_row():
+    # the second call gets the first call's generator, left holding a buffered
+    # half-word and a moved state, and still starts each row afresh
+    seeds = [mix_seed(34, i) for i in range(6)]
+    states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    first, second = np.empty((3, 5)), np.empty((3, 5))
+    fill_rows(states[:, :3], first)
+    rng = graph_core._row_filler()[0]
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    fill_rows(states[:, 3:], second)
+    assert graph_core._row_filler()[0] is rng
+    assert np.array_equal(np.vstack((first, second)), [rng_from_seed(s).random(5) for s in seeds])
 
 
 def test_rng_from_seed_reproducible():
@@ -228,6 +243,19 @@ def test_non_isolated_matches_recount_under_deletions():
             g.remove_vertex(alive[j])
             recount = sum(1 for v in g.alive_ids() if g.degree(v) > 0)
             assert g.non_isolated_count() == recount
+
+
+def test_degree_statistics_are_ints_read_off_the_live_degrees():
+    for n in (0, 1, 3):
+        assert (AdjacencyGraph(n).max_degree(), AdjacencyGraph(n).non_isolated_count()) == (0, 0)
+    g = sample_er(300, 3 / 300, mix_seed(901, 0))
+    for v in rng_from_seed(18).choice(300, 299, replace=False).tolist():
+        live = [g.degree(u) for u in g.alive_ids()]
+        assert type(g.max_degree()) is int and g.max_degree() == max(live)
+        assert type(g.non_isolated_count()) is int
+        assert g.non_isolated_count() == sum(d > 0 for d in live)
+        g.remove_vertex(v)
+    assert (g.max_degree(), g.non_isolated_count()) == (0, 0)
 
 
 def _holds_model(g, model):
